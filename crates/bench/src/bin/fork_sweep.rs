@@ -12,9 +12,8 @@
 //!
 //! Flags:
 //! - `--jobs N` / `KTAU_JOBS`: worker threads for the variant fan-out.
-//! - `--check`: verify fork determinism (dynticks forks, a
-//!   reference-engine fork, and a 2-shard fork must all match the cold
-//!   digests) and exit non-zero on any mismatch, **without touching
+//! - `--check`: verify fork determinism (dynticks forks and a
+//!   reference-engine fork must all match the cold digests) and exit non-zero on any mismatch, **without touching
 //!   `BENCH_engine.json`**.  This is the CI gate.
 use ktau_bench::{
     jobs, run_cold, run_fork, run_parallel, run_prefix, sweep_hash, variants, ForkEngine,
@@ -24,10 +23,8 @@ use ktau_core::time::NS_PER_SEC;
 use serde_json::Value;
 use std::time::Instant;
 
-/// Variant spot-checked on the reference (all-heap) engine.
+/// Variant spot-checked on the every-tick reference engine.
 const REFERENCE_VARIANT: &str = "faults_moderate";
-/// Variant spot-checked on the 2-shard conservative-PDES runner.
-const SHARDED_VARIANT: &str = "faults_severe";
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -82,7 +79,7 @@ fn main() {
         vs.iter()
             .map(|v| {
                 let (snap, m) = (snap.clone(), v.mutation.clone());
-                move || run_fork(&snap, &m, 1)
+                move || run_fork(&snap, &m)
             })
             .collect(),
     );
@@ -114,16 +111,16 @@ fn main() {
         }
     }
 
-    // Engine-coverage spot checks: the cold digests are engine-invariant,
-    // so a reference-engine fork and a sharded fork must land on the same
-    // digests as the dynticks cold twins above.
+    // Engine-coverage spot check: the cold digests are engine-invariant,
+    // so a reference-engine fork must land on the same digest as its
+    // dynticks cold twin above.
     let (ref_v, ref_cold) = vs
         .iter()
         .zip(&colds)
         .find(|(v, _)| v.name == REFERENCE_VARIANT)
         .expect("reference spot-check variant present");
     let (ref_prefix, _) = run_prefix(ForkEngine::Reference);
-    let ref_fork = run_fork(&ref_prefix.snapshot(), &ref_v.mutation, 1);
+    let ref_fork = run_fork(&ref_prefix.snapshot(), &ref_v.mutation);
     drop(ref_prefix);
     if ref_fork.digest != ref_cold.digest {
         mismatches.push(format!(
@@ -131,26 +128,9 @@ fn main() {
             ref_v.name, ref_fork.digest, ref_cold.digest
         ));
     }
-    let (sh_v, sh_cold) = vs
-        .iter()
-        .zip(&colds)
-        .find(|(v, _)| v.name == SHARDED_VARIANT)
-        .expect("sharded spot-check variant present");
-    let sh_fork = run_fork(&snap, &sh_v.mutation, 2);
-    if sh_fork.digest != sh_cold.digest {
-        mismatches.push(format!(
-            "2-shard fork of {}: digest {} vs cold {}",
-            sh_v.name, sh_fork.digest, sh_cold.digest
-        ));
-    }
     println!(
-        "engine spot checks: reference fork {}, 2-shard fork {}",
+        "engine spot check: reference fork {}",
         if ref_fork.digest == ref_cold.digest {
-            "match"
-        } else {
-            "MISMATCH"
-        },
-        if sh_fork.digest == sh_cold.digest {
             "match"
         } else {
             "MISMATCH"
@@ -178,7 +158,7 @@ fn main() {
     }
     if check {
         println!(
-            "[fork_sweep] check passed: {} forks + 2 engine spot checks digest-identical to cold runs",
+            "[fork_sweep] check passed: {} forks + a reference-engine fork digest-identical to cold runs",
             vs.len()
         );
         return; // --check never writes BENCH_engine.json

@@ -1,12 +1,12 @@
 //! FNV-1a state digests.
 //!
-//! Every engine generation — reference, fast, dynticks, sharded — must leave
-//! the cluster in bit-identical externally-observable state for the same
+//! The dynticks engine and the every-tick reference engine must leave the
+//! cluster in bit-identical externally-observable state for the same
 //! workload.  That property is enforced by folding all of it into one 64-bit
 //! FNV-1a hash: virtual time, per-task scheduler state, counters, and the
 //! full measurement structures.  The fold lives in `ktau-core` so the kernel
-//! model, the sharded runner's per-shard digests, and any external
-//! consistency checker all hash the same way.
+//! model, the snapshot image check and any external consistency checker all
+//! hash the same way.
 
 /// The FNV-1a 64-bit offset basis; start every digest from this.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -36,18 +36,6 @@ pub fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Combines independently computed sub-digests in index order (e.g. one per
-/// shard) into one digest.  Order-sensitive by design: callers pass the
-/// sub-digests in a canonical order (node id, shard id) so the combined
-/// value is engine-independent.
-pub fn fnv_combine(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for p in parts {
-        fnv_word(&mut h, p);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,18 +47,5 @@ mod tests {
         let mut b = FNV_OFFSET;
         fnv_bytes(&mut b, &0x0123_4567_89AB_CDEFu64.to_le_bytes());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn known_vector() {
-        // FNV-1a of the empty input is the offset basis itself.
-        assert_eq!(fnv_combine([]), FNV_OFFSET);
-        // And folding changes it for any word.
-        assert_ne!(fnv_combine([0]), FNV_OFFSET);
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        assert_ne!(fnv_combine([1, 2]), fnv_combine([2, 1]));
     }
 }

@@ -4,9 +4,10 @@
 //! a dense reference model — plain `Vec`s indexed by event id, exactly the
 //! pre-arena storage — through the same random probe / batch-fold / reset
 //! sequence, then checks every observable surface: point reads, iteration
-//! order, totals, `Debug` text (what state digests hash), and byte-for-byte
-//! parity of the dense v1 wire image against one hand-encoded from the
-//! model.
+//! order, totals and `Debug` text (what state digests hash) against the
+//! model's.  The same checks run again on the table decoded from its KTAS
+//! wire encoding, so the codec is held to the dense model too, and a
+//! decoded table must re-encode to the identical bytes.
 
 use ktau_core::measure::{MergedStats, MergedTable, WallTable};
 use ktau_core::profile::{AtomicStats, EntryExitStats, Profile};
@@ -43,6 +44,39 @@ fn model_atomic(a: &mut AtomicStats, v: u64) {
     }
     a.count += 1;
     a.sum += v;
+}
+
+/// The pre-arena layouts, field for field.  Their derived `Debug` text is
+/// what the arena tables' hand-written `Debug` impls must reproduce.
+mod dense {
+    use ktau_core::measure::MergedStats;
+    use ktau_core::profile::{AtomicStats, EntryExitStats};
+    use ktau_core::EventId;
+
+    // The fields are read only through the derived `Debug`.
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    pub struct Profile {
+        pub entries: Vec<EntryExitStats>,
+        pub atomics: Vec<AtomicStats>,
+        pub stack: Vec<Activation>,
+        pub active: Vec<u32>,
+    }
+
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    pub struct Activation {
+        pub event: EventId,
+        pub entry_ns: u64,
+        pub child_ns: u64,
+        pub interval_ns: u64,
+        pub recursive: bool,
+    }
+
+    #[derive(Debug)]
+    pub struct MergedTable {
+        pub rows: Vec<Vec<MergedStats>>,
+    }
 }
 
 fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
@@ -97,7 +131,7 @@ fn arb_pop() -> impl Strategy<Value = POp> {
 }
 
 /// Mirror of one live activation frame, kept so the model can reproduce the
-/// stop-time inclusive/exclusive arithmetic and the v1 stack encoding.
+/// stop-time inclusive/exclusive arithmetic and the stack's `Debug` text.
 struct Frame {
     id: u32,
     entry: u64,
@@ -197,86 +231,76 @@ proptest! {
             }
         }
 
-        // Point reads: fired ids match the model, never-fired ids (and ids
-        // past the watermark) read as defaults.
-        for i in 0..IDS + 8 {
-            let want = entries.get(i as usize).copied().unwrap_or_default();
-            prop_assert_eq!(p.entry_stats(EventId(i)), want);
-            let want = atomics.get(i as usize).copied().unwrap_or_default();
-            prop_assert_eq!(p.atomic_stats(EventId(i)), want);
-        }
+        let model = dense::Profile {
+            entries,
+            atomics,
+            stack: stack
+                .iter()
+                .map(|f| dense::Activation {
+                    event: EventId(f.id),
+                    entry_ns: f.entry,
+                    child_ns: f.child,
+                    interval_ns: f.interval,
+                    recursive: f.recursive,
+                })
+                .collect(),
+            active,
+        };
+        check_profile(&p, &model)?;
 
-        // Iteration: exactly the model's count>0 rows, ascending id.
-        let got: Vec<(u32, EntryExitStats)> = p.iter_entries().map(|(id, s)| (id.0, *s)).collect();
-        let want: Vec<(u32, EntryExitStats)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.count > 0)
-            .map(|(i, e)| (i as u32, *e))
-            .collect();
-        prop_assert_eq!(got, want);
-        let got: Vec<(u32, AtomicStats)> = p.iter_atomics().map(|(id, s)| (id.0, *s)).collect();
-        let want: Vec<(u32, AtomicStats)> = atomics
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.count > 0)
-            .map(|(i, a)| (i as u32, *a))
-            .collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(p.total_excl_ns(), entries.iter().map(|e| e.excl_ns).sum::<u64>());
-
-        // The dense v1 wire image must be byte-identical to one hand-encoded
-        // straight from the dense model — the arena synthesizes exactly the
-        // old layout.
+        // The wire encoding decodes to a table that passes the same checks,
+        // and re-encodes to the identical bytes even though in-memory slot
+        // allocation order (and zeroed slots a reset leaves behind) may
+        // differ.
         let mut w = Writer::new();
-        p.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(entries.len() as u32);
-        for e in &entries {
-            m.u64(e.count);
-            m.u64(e.incl_ns);
-            m.u64(e.excl_ns);
-            m.u64(e.min_incl_ns);
-            m.u64(e.max_incl_ns);
-        }
-        m.u32(atomics.len() as u32);
-        for a in &atomics {
-            m.u64(a.count);
-            m.u64(a.sum);
-            m.u64(a.min);
-            m.u64(a.max);
-        }
-        m.u32(stack.len() as u32);
-        for f in &stack {
-            m.u32(f.id);
-            m.u64(f.entry);
-            m.u64(f.child);
-            m.u64(f.interval);
-            m.bool(f.recursive);
-        }
-        m.u32(active.len() as u32);
-        for &a in &active {
-            m.u32(a);
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Both codecs roundtrip to Debug-identical state (digests hash the
-        // Debug text), and dense-decoded state re-encodes to the identical
-        // compact image regardless of slot allocation order.
-        let dbg = format!("{p:?}");
-        let d1 = Profile::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
+        p.encode_wire(&mut w);
+        let d = Profile::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        check_profile(&d, &model)?;
         let mut w2 = Writer::new();
-        p.encode_wire(&mut w2);
-        let d2 = Profile::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
-        // The dense image is canonical: rehydrating and re-encoding it
-        // reproduces it byte-for-byte, even though in-memory slot allocation
-        // order (and zeroed slots a reset leaves behind) may differ.
-        let mut w3 = Writer::new();
-        d1.encode_wire_dense(&mut w3);
-        prop_assert_eq!(w3.as_slice(), w.as_slice());
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
+}
+
+/// Every observable surface of `p` against the dense model.
+fn check_profile(p: &Profile, model: &dense::Profile) -> Result<(), TestCaseError> {
+    // Point reads: fired ids match the model, never-fired ids (and ids
+    // past the watermark) read as defaults.
+    for i in 0..IDS + 8 {
+        let want = model.entries.get(i as usize).copied().unwrap_or_default();
+        prop_assert_eq!(p.entry_stats(EventId(i)), want);
+        let want = model.atomics.get(i as usize).copied().unwrap_or_default();
+        prop_assert_eq!(p.atomic_stats(EventId(i)), want);
+    }
+
+    // Iteration: exactly the model's count>0 rows, ascending id.
+    let got: Vec<(u32, EntryExitStats)> = p.iter_entries().map(|(id, s)| (id.0, *s)).collect();
+    let want: Vec<(u32, EntryExitStats)> = model
+        .entries
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.count > 0)
+        .map(|(i, e)| (i as u32, *e))
+        .collect();
+    prop_assert_eq!(got, want);
+    let got: Vec<(u32, AtomicStats)> = p.iter_atomics().map(|(id, s)| (id.0, *s)).collect();
+    let want: Vec<(u32, AtomicStats)> = model
+        .atomics
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.count > 0)
+        .map(|(i, a)| (i as u32, *a))
+        .collect();
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(
+        p.total_excl_ns(),
+        model.entries.iter().map(|e| e.excl_ns).sum::<u64>()
+    );
+
+    // Debug parity: the arena prints exactly what the dense layout
+    // printed (digests hash this text).
+    prop_assert_eq!(format!("{p:?}"), format!("{model:?}"));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -357,59 +381,57 @@ proptest! {
             }
         }
 
-        // Point reads across the whole grid (touched-but-zero cells and
-        // never-touched cells both read back as absent).
-        for user in std::iter::once(None).chain((0..USERS).map(Some)) {
-            for kernel in 0..KERNELS {
-                let want = rows
-                    .get(mslot(user))
-                    .and_then(|r| r.get(kernel as usize))
-                    .filter(|c| c.count > 0)
-                    .copied();
-                prop_assert_eq!(t.get(mkey(user, kernel)).copied(), want);
-            }
-        }
+        let model = dense::MergedTable { rows };
+        check_merged(&t, &model)?;
 
-        // Iteration: row-major over the dense model, recorded cells only.
-        let got: Vec<(usize, u32, MergedStats)> = t
-            .iter()
-            .map(|((u, k), s)| (mslot(u.map(|e| e.0)), k.0, *s))
-            .collect();
-        let want: Vec<(usize, u32, MergedStats)> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(r, row)| {
-                row.iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.count > 0)
-                    .map(move |(k, c)| (r, k as u32, *c))
-            })
-            .collect();
-        prop_assert_eq!(got, want);
-
-        // Byte-exact v1 image parity against the hand-encoded dense model.
+        // The wire encoding decodes to a table that passes the same checks
+        // and re-encodes to the identical bytes.
         let mut w = Writer::new();
-        t.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(rows.len() as u32);
-        for row in &rows {
-            m.u32(row.len() as u32);
-            for c in row {
-                m.u64(c.count);
-                m.u64(c.ns);
-            }
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Codec roundtrips preserve the Debug text digests hash.
-        let dbg = format!("{t:?}");
-        let d1 = MergedTable::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
+        t.encode_wire(&mut w);
+        let d = MergedTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        check_merged(&d, &model)?;
         let mut w2 = Writer::new();
-        t.encode_wire(&mut w2);
-        let d2 = MergedTable::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
+}
+
+/// Every observable surface of `t` against the dense model.
+fn check_merged(t: &MergedTable, model: &dense::MergedTable) -> Result<(), TestCaseError> {
+    let rows = &model.rows;
+    // Point reads across the whole grid (touched-but-zero cells and
+    // never-touched cells both read back as absent).
+    for user in std::iter::once(None).chain((0..USERS).map(Some)) {
+        for kernel in 0..KERNELS {
+            let want = rows
+                .get(mslot(user))
+                .and_then(|r| r.get(kernel as usize))
+                .filter(|c| c.count > 0)
+                .copied();
+            prop_assert_eq!(t.get(mkey(user, kernel)).copied(), want);
+        }
+    }
+
+    // Iteration: row-major over the dense model, recorded cells only.
+    let got: Vec<(usize, u32, MergedStats)> = t
+        .iter()
+        .map(|((u, k), s)| (mslot(u.map(|e| e.0)), k.0, *s))
+        .collect();
+    let want: Vec<(usize, u32, MergedStats)> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(r, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|(_, c)| c.count > 0)
+                .map(move |(k, c)| (r, k as u32, *c))
+        })
+        .collect();
+    prop_assert_eq!(got, want);
+
+    // Debug parity with the dense rows, zero cells included.
+    prop_assert_eq!(format!("{t:?}"), format!("{model:?}"));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -452,48 +474,46 @@ proptest! {
             }
         }
 
-        // Point reads, including a zero-ns accumulation staying Some.
-        for user in std::iter::once(None).chain((0..USERS).map(Some)) {
-            let want = model.get(mslot(user)).copied().flatten();
-            prop_assert_eq!(wt.get(user.map(EventId)), want);
-        }
+        check_wall(&wt, &model)?;
 
-        // Iteration in dense slot order.
-        let got: Vec<(usize, u64)> = wt.iter().map(|(u, ns)| (mslot(u.map(|e| e.0)), ns)).collect();
-        let want: Vec<(usize, u64)> = model
-            .iter()
-            .enumerate()
-            .filter_map(|(s, o)| o.map(|ns| (s, ns)))
-            .collect();
-        prop_assert_eq!(got, want);
-
-        // Debug parity: the arena must print exactly what the old dense
-        // vector printed (digests hash this text).
-        prop_assert_eq!(format!("{wt:?}"), format!("WallTable {{ slots: {model:?} }}"));
-
-        // Byte-exact v1 image parity against the hand-encoded dense model.
+        // The wire encoding decodes to a table that passes the same checks
+        // and re-encodes to the identical bytes.
         let mut w = Writer::new();
-        wt.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(model.len() as u32);
-        for o in &model {
-            match o {
-                None => m.u8(0),
-                Some(ns) => {
-                    m.u8(1);
-                    m.u64(*ns);
-                }
-            }
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Codec roundtrips preserve the Debug text.
-        let dbg = format!("{wt:?}");
-        let d1 = WallTable::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
+        wt.encode_wire(&mut w);
+        let d = WallTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        check_wall(&d, &model)?;
         let mut w2 = Writer::new();
-        wt.encode_wire(&mut w2);
-        let d2 = WallTable::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
+}
+
+/// Every observable surface of `wt` against the dense model (the old
+/// `Vec<Option<Ns>>` itself).
+fn check_wall(wt: &WallTable, model: &[Option<u64>]) -> Result<(), TestCaseError> {
+    // Point reads, including a zero-ns accumulation staying Some.
+    for user in std::iter::once(None).chain((0..USERS).map(Some)) {
+        let want = model.get(mslot(user)).copied().flatten();
+        prop_assert_eq!(wt.get(user.map(EventId)), want);
+    }
+
+    // Iteration in dense slot order.
+    let got: Vec<(usize, u64)> = wt
+        .iter()
+        .map(|(u, ns)| (mslot(u.map(|e| e.0)), ns))
+        .collect();
+    let want: Vec<(usize, u64)> = model
+        .iter()
+        .enumerate()
+        .filter_map(|(s, o)| o.map(|ns| (s, ns)))
+        .collect();
+    prop_assert_eq!(got, want);
+
+    // Debug parity: the arena must print exactly what the old dense
+    // vector printed (digests hash this text).
+    prop_assert_eq!(
+        format!("{wt:?}"),
+        format!("WallTable {{ slots: {model:?} }}")
+    );
+    Ok(())
 }

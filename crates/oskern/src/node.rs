@@ -182,9 +182,6 @@ pub struct Node {
     trace_capacity: Option<usize>,
     /// App tasks that exited (drives cluster completion tracking).
     pub(crate) apps_exited: u64,
-    /// App tasks ever spawned here (the sharded runner's per-shard
-    /// completion target; zombie reaping must not disturb it).
-    pub(crate) apps_spawned: u64,
     /// Node-degradation fault spec, if this node is configured to fail.
     pub(crate) degrade: Option<DegradeSpec>,
     /// Cached `(cost_gen, d, steal_each)` figures for the dynticks tick
@@ -318,7 +315,6 @@ impl Node {
             sndbuf_bytes,
             trace_capacity,
             apps_exited: 0,
-            apps_spawned: 0,
             degrade: None,
             fold_costs: None,
             offline_done: false,
@@ -2241,15 +2237,12 @@ impl Node {
     /// Structural state a fresh [`Node::boot`] from the same spec recreates
     /// identically (name, kernel probe registrations, clock) is *not*
     /// written; [`Node::apply_state`] overlays this image onto such a boot.
-    /// `compact` selects the KTAS v2 arena layout for the per-task
-    /// measurement sections (v1 images use the dense layout).
-    pub(crate) fn encode_state(&self, w: &mut Writer, compact: bool) {
+    pub(crate) fn encode_state(&self, w: &mut Writer) {
         w.u32(self.id);
         w.u8(self.online);
         w.u32(self.next_pid);
         w.u8(self.irq_rr);
         w.u64(self.apps_exited);
-        w.u64(self.apps_spawned);
         w.bool(self.offline_done);
         w.bool(self.dynticks);
         w.u64(self.sched_gen);
@@ -2314,7 +2307,7 @@ impl Node {
                 None => w.u8(0),
                 Some(t) => {
                     w.u8(1);
-                    t.encode_wire(w, compact);
+                    t.encode_wire(w);
                 }
             }
         }
@@ -2399,13 +2392,7 @@ impl Node {
     /// bit-identical (digest and future behaviour) to the captured one.
     /// Returns the pids whose tasks had a program attached at capture; the
     /// caller re-attaches the snapshot side-car clones under those pids.
-    /// `compact` must match the image version (KTAS v1 = dense measurement
-    /// sections, v2+ = compact).
-    pub(crate) fn apply_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        compact: bool,
-    ) -> Result<Vec<Pid>, CodecError> {
+    pub(crate) fn apply_state(&mut self, r: &mut Reader<'_>) -> Result<Vec<Pid>, CodecError> {
         if r.u32()? != self.id {
             return Err(CodecError::BadField("node id"));
         }
@@ -2413,7 +2400,6 @@ impl Node {
         self.next_pid = r.u32()?;
         self.irq_rr = r.u8()?;
         self.apps_exited = r.u64()?;
-        self.apps_spawned = r.u64()?;
         self.offline_done = r.bool()?;
         if r.bool()? != self.dynticks {
             return Err(CodecError::BadField("engine mode"));
@@ -2500,7 +2486,7 @@ impl Node {
             match r.u8()? {
                 0 => slots.push(None),
                 1 => {
-                    let (task, has_program) = Task::decode_wire(r, compact)?;
+                    let (task, has_program) = Task::decode_wire(r)?;
                     if has_program {
                         needs_program.push(task.pid);
                     }

@@ -116,29 +116,6 @@ impl Event {
     }
 }
 
-/// Cross-shard routing attached to a shard's event queue by the parallel
-/// runner.  While installed, any push addressed to a node outside the
-/// shard's contiguous `[lo, hi)` range is diverted into `outbox` (with its
-/// time and push point) instead of entering the local heap; the runner
-/// flushes the outbox over SPSC channels at window boundaries.  Node
-/// handlers stay completely unaware of sharding.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShardRoute {
-    lo: u32,
-    hi: u32,
-    outbox: Vec<(Ns, Ns, Event)>,
-}
-
-/// One armed per-CPU timer interrupt, kept out of the main heap.
-#[derive(Debug, Clone, Copy)]
-struct TickLane {
-    time: Ns,
-    point: Ns,
-    seq: u64,
-    node: u32,
-    cpu: u8,
-}
-
 /// Wheel slot width as a power of two: `1 << 15` ns ≈ 32.8 µs per slot.
 /// Measured on the LU-16 workload, ~70% of pushes land 4 µs–1 ms ahead of
 /// now; this granularity keeps typical slots one or two events deep, which
@@ -180,16 +157,13 @@ impl QKey {
     }
 }
 
-/// Indexed two-tier priority queue over `(time, push-point, fifo-sequence)`.
+/// Indexed priority queue over `(time, push-point, fifo-sequence)`.
 ///
 /// Event payloads live exactly once in a free-listed slab; everything that
-/// orders them moves only 32-byte [`QKey`]s.  Three tiers share one total
+/// orders them moves only 32-byte [`QKey`]s.  Two tiers share one total
 /// order:
 ///
-/// * **Tick lanes** — periodic [`Event::Tick`]s dominate the event
-///   population (HZ per CPU per node), yet at any instant exactly one is
-///   armed per CPU, so they live in a dedicated min-heap sized by CPU count.
-/// * **Time wheel** — everything else lands by target slot
+/// * **Time wheel** — every event lands by target slot
 ///   (`time >> WHEEL_SHIFT`).  Future slots within the `WHEEL_SLOTS`
 ///   horizon are unsorted buckets, ordered *once* when they mature into
 ///   the drain run `cur` — sorted descending below [`CUR_HEAP_MIN`]
@@ -201,19 +175,20 @@ impl QKey {
 ///   10k-node scale where one 32.8 µs slot can hold thousands of events
 ///   (an always-sorted drain run degraded to O(bucket) memmoves per push
 ///   there; an always-heap run taxed every small-bucket pop with sifts).
+///   Timer ticks share this tier with every other event: the dynticks
+///   engine parks idle CPUs' ticks outside the queue, so few are ever armed.
 /// * **Overflow heap** — entries beyond the wheel horizon.  They are never
-///   migrated; `pop` simply compares the overflow minimum against the other
-///   tiers, which keeps the order exact without re-homing churn.
+///   migrated; `pop` simply compares the overflow minimum against the drain
+///   run, which keeps the order exact without re-homing churn.
 ///
 /// Ordering proof sketch: `cur` holds only keys with slot ≤ `cur_slot`,
 /// wheel buckets only slots in `(cur_slot, cur_slot + WHEEL_SLOTS]`, so
 /// every bucket key is strictly later than every `cur` key (slot is a
 /// monotone function of time) and the earliest non-empty bucket holds the
-/// wheel's global minimum.  `pop` therefore takes the minimum of three
-/// ordered structures — `cur` root, `overflow` root, lane root — under
-/// the full `(time, point, seq)` key, which is exactly the single-heap
-/// order; a unit test plus a property test against a `BinaryHeap` model
-/// pin this.
+/// wheel's global minimum.  `pop` therefore takes the minimum of two
+/// ordered structures — `cur` root and `overflow` root — under the full
+/// `(time, point, seq)` key, which is exactly the single-heap order; a
+/// unit test plus a property test against a `BinaryHeap` model pin this.
 #[derive(Debug, Clone)]
 pub struct EventQueue {
     /// Event payloads, indexed by [`QKey::handle`].
@@ -253,7 +228,6 @@ pub struct EventQueue {
     /// [`heap_push`]/[`heap_pop`]) so key comparisons stay countable by the
     /// self-profiler.
     overflow: Vec<QKey>,
-    lanes: Vec<TickLane>,
     seq: u64,
     /// Simulated time of the dispatch currently executing; every `push`
     /// records it as the entry's *push point*.  Queue order is
@@ -262,22 +236,17 @@ pub struct EventQueue {
     /// point exists so the dynticks engine can replay reference tie-breaks
     /// between a parked tick and an event firing at the same nanosecond.
     now: Ns,
-    /// When false, ticks share the wheel/heap tiers (reference mode).
-    use_lanes: bool,
-    /// Cross-shard diversion, installed only on per-shard queues.
-    route: Option<ShardRoute>,
 }
 
 impl Default for EventQueue {
-    /// Matches [`EventQueue::new_all_heap`] (no tick lanes), the historical
-    /// `derive(Default)` behaviour.
     fn default() -> Self {
-        EventQueue::make(false)
+        EventQueue::new()
     }
 }
 
 impl EventQueue {
-    fn make(use_lanes: bool) -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
@@ -288,24 +257,9 @@ impl EventQueue {
             wheel_len: 0,
             wheel_bits: [0; WHEEL_WORDS],
             overflow: Vec::new(),
-            lanes: Vec::new(),
             seq: 0,
             now: 0,
-            use_lanes,
-            route: None,
         }
-    }
-
-    /// An empty queue with tick lanes enabled.
-    pub fn new() -> Self {
-        EventQueue::make(true)
-    }
-
-    /// Reference queue keeping every event, ticks included, in the shared
-    /// wheel/heap tiers.  Exists so tests can prove lane ordering
-    /// equivalence.
-    pub fn new_all_heap() -> Self {
-        EventQueue::make(false)
     }
 
     /// Schedules `ev` at absolute time `at`, stamped with the current
@@ -319,28 +273,8 @@ impl EventQueue {
     /// engine pushed that tick one period before it fires, so the re-push
     /// must carry that original point to keep same-time ordering exact.
     pub fn push_at(&mut self, at: Ns, ev: Event, point: Ns) {
-        if let Some(route) = &mut self.route {
-            let node = ev.node();
-            if node < route.lo || node >= route.hi {
-                route.outbox.push((at, point, ev));
-                return;
-            }
-        }
         self.seq += 1;
         selfprof::inc(SpCounter::QueuePush);
-        if self.use_lanes {
-            if let Event::Tick { node, cpu } = ev {
-                selfprof::inc(SpCounter::PushLane);
-                self.lane_insert(TickLane {
-                    time: at,
-                    point,
-                    seq: self.seq,
-                    node,
-                    cpu,
-                });
-                return;
-            }
-        }
         let handle = self.alloc(ev);
         self.insert_key(QKey {
             time: at,
@@ -500,51 +434,25 @@ impl EventQueue {
     /// Pops the earliest pending event if its time is at most `deadline`;
     /// a later event stays queued (callers' deadline diagnostics must find
     /// it still inspectable).  Fusing the bound check into the pop lets the
-    /// dispatch loop run one three-way selection per event instead of a
-    /// `peek_time` + `pop_full` pair.
+    /// dispatch loop run one selection per event instead of a `peek_time` +
+    /// `pop_full` pair.
     pub fn pop_due(&mut self, deadline: Ns) -> Option<(Ns, Ns, Event)> {
         self.mature();
-        // Tier selection, cheapest-first: the drain run almost always wins,
-        // the overflow heap is empty outside long daemon sleeps, and lanes
-        // only exist in the fast engine.  Keys are unique (`seq`), so strict
-        // comparison is unambiguous; two comparisons pick the minimum.
-        selfprof::add(SpCounter::KeyCmp, 2);
-        let mut src: u8 = 0;
-        let mut best = (Ns::MAX, Ns::MAX, u64::MAX);
-        if let Some(k) = self.cur_min() {
-            best = k.key();
-            src = 1;
-        }
-        if let Some(k) = self.overflow.first() {
-            let kk = k.key();
-            if src == 0 || kk < best {
-                best = kk;
-                src = 2;
-            }
-        }
-        if let Some(l) = self.lanes.first() {
-            let lk = (l.time, l.point, l.seq);
-            if src == 0 || lk < best {
-                best = lk;
-                src = 3;
-            }
-        }
-        if src == 0 || best.0 > deadline {
+        // The drain run almost always wins; the overflow heap is empty
+        // outside long daemon sleeps.  Keys are unique (`seq`), so one
+        // strict comparison picks the minimum.
+        selfprof::inc(SpCounter::KeyCmp);
+        let (from_cur, time) = match (self.cur_min(), self.overflow.first()) {
+            (None, None) => return None,
+            (Some(c), Some(o)) if o.key() < c.key() => (false, o.time),
+            (Some(c), _) => (true, c.time),
+            (None, Some(o)) => (false, o.time),
+        };
+        if time > deadline {
             return None;
         }
         selfprof::inc(SpCounter::QueuePop);
-        if src == 3 {
-            let lane = self.lane_remove_root();
-            return Some((
-                lane.time,
-                lane.point,
-                Event::Tick {
-                    node: lane.node,
-                    cpu: lane.cpu,
-                },
-            ));
-        }
-        let k = if src == 1 {
+        let k = if from_cur {
             self.cur_pop().expect("selected from cur")
         } else {
             heap_pop(&mut self.overflow).expect("selected from overflow")
@@ -561,49 +469,12 @@ impl EventQueue {
         self.mature();
         let cur_t = self.cur_min().map(|k| k.time);
         let ovf_t = self.overflow.first().map(|k| k.time);
-        let lane_t = self.lanes.first().map(|l| l.time);
-        [cur_t, ovf_t, lane_t].into_iter().flatten().min()
-    }
-
-    /// An empty queue in the same engine mode (tick lanes on/off), for
-    /// partitioning one cluster queue into per-shard queues.
-    pub(crate) fn new_like(&self) -> EventQueue {
-        EventQueue {
-            use_lanes: self.use_lanes,
-            ..Default::default()
-        }
-    }
-
-    /// Installs cross-shard diversion: pushes addressed outside node range
-    /// `[lo, hi)` land in the outbox instead of the heap.
-    pub(crate) fn set_route(&mut self, lo: u32, hi: u32) {
-        self.route = Some(ShardRoute {
-            lo,
-            hi,
-            outbox: Vec::new(),
-        });
-    }
-
-    /// Takes everything diverted since the last call (empty when no route
-    /// is installed).
-    pub(crate) fn take_outbox(&mut self) -> Vec<(Ns, Ns, Event)> {
-        match &mut self.route {
-            Some(r) => std::mem::take(&mut r.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Removes the diversion (merge-back); panics if diverted events were
-    /// never collected — that would silently drop simulation events.
-    pub(crate) fn clear_route(&mut self) {
-        if let Some(r) = self.route.take() {
-            assert!(r.outbox.is_empty(), "clear_route with undelivered events");
-        }
+        cur_t.into_iter().chain(ovf_t).min()
     }
 
     /// Number of pending events (armed ticks included).
     pub fn len(&self) -> usize {
-        self.cur.len() + self.wheel_len + self.overflow.len() + self.lanes.len()
+        self.cur.len() + self.wheel_len + self.overflow.len()
     }
 
     /// True when nothing is scheduled.
@@ -611,7 +482,7 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Every non-lane entry's key, in no particular order.
+    /// Every entry's key, in no particular order.
     fn iter_keys(&self) -> impl Iterator<Item = &QKey> {
         self.cur
             .iter()
@@ -627,7 +498,6 @@ impl EventQueue {
     pub fn pending_summary(&self) -> PendingSummary {
         let mut s = PendingSummary {
             total: self.len(),
-            tick: self.lanes.len(),
             ..PendingSummary::default()
         };
         for ev in self.iter_keys().map(|k| &self.slab[k.handle as usize]) {
@@ -647,41 +517,16 @@ impl EventQueue {
 
     // -- engine snapshot codec ----------------------------------------------
 
-    /// True when ticks live in the dedicated lane heap (the engine-mode flag
-    /// a snapshot must reproduce on resume).
-    pub(crate) fn uses_lanes(&self) -> bool {
-        self.use_lanes
-    }
-
     /// Serializes the queue: `now`, the FIFO sequence counter, and every
     /// pending entry as `(time, push point, seq, event)` in canonical
-    /// `(time, point, seq)` order.  Heap and lane entries are merged into
-    /// one list; the mode flag decides where each lands again on decode.
-    ///
-    /// Panics if a shard route is installed: snapshots are taken only from
-    /// a quiescent serial cluster, never mid-window from a shard queue.
+    /// `(time, point, seq)` order.
     pub(crate) fn encode_wire(&self, w: &mut ktau_core::wire::Writer) {
-        assert!(
-            self.route.is_none(),
-            "snapshot of a shard-routed event queue"
-        );
         w.u64(self.now);
         w.u64(self.seq);
         let mut entries: Vec<(Ns, Ns, u64, Event)> = self
             .iter_keys()
             .map(|k| (k.time, k.point, k.seq, self.slab[k.handle as usize]))
             .collect();
-        entries.extend(self.lanes.iter().map(|l| {
-            (
-                l.time,
-                l.point,
-                l.seq,
-                Event::Tick {
-                    node: l.node,
-                    cpu: l.cpu,
-                },
-            )
-        }));
         entries.sort_unstable_by_key(|&(t, p, s, _)| (t, p, s));
         w.u32(entries.len() as u32);
         for (t, p, s, ev) in entries {
@@ -692,18 +537,13 @@ impl EventQueue {
         }
     }
 
-    /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes in the given
-    /// engine mode.  Each entry keeps its exact `(time, point, seq)` key, so
-    /// the pop sequence is bit-identical to the captured queue's.
+    /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes.  Each entry
+    /// keeps its exact `(time, point, seq)` key, so the pop sequence is
+    /// bit-identical to the captured queue's.
     pub(crate) fn decode_wire(
         r: &mut ktau_core::wire::Reader<'_>,
-        use_lanes: bool,
     ) -> Result<EventQueue, ktau_core::wire::CodecError> {
-        let mut q = if use_lanes {
-            EventQueue::new()
-        } else {
-            EventQueue::new_all_heap()
-        };
+        let mut q = EventQueue::new();
         q.now = r.u64()?;
         q.seq = r.u64()?;
         // Start the drain position at `now`'s slot: pending entries at the
@@ -717,18 +557,6 @@ impl EventQueue {
             let point = r.u64()?;
             let seq = r.u64()?;
             let ev = decode_event(r)?;
-            if use_lanes {
-                if let Event::Tick { node, cpu } = ev {
-                    q.lane_insert(TickLane {
-                        time,
-                        point,
-                        seq,
-                        node,
-                        cpu,
-                    });
-                    continue;
-                }
-            }
             let handle = q.alloc(ev);
             q.insert_key(QKey {
                 time,
@@ -739,51 +567,6 @@ impl EventQueue {
         }
         Ok(q)
     }
-
-    // -- tick-lane min-heap (keyed by `(time, seq)`) -------------------------
-
-    fn lane_insert(&mut self, lane: TickLane) {
-        self.lanes.push(lane);
-        let mut i = self.lanes.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            selfprof::inc(SpCounter::KeyCmp);
-            if lane_key(&self.lanes[i]) < lane_key(&self.lanes[parent]) {
-                self.lanes.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn lane_remove_root(&mut self) -> TickLane {
-        let root = self.lanes.swap_remove(0);
-        let len = self.lanes.len();
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            selfprof::add(SpCounter::KeyCmp, 2);
-            if l < len && lane_key(&self.lanes[l]) < lane_key(&self.lanes[smallest]) {
-                smallest = l;
-            }
-            if r < len && lane_key(&self.lanes[r]) < lane_key(&self.lanes[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.lanes.swap(i, smallest);
-            i = smallest;
-        }
-        root
-    }
-}
-
-#[inline]
-fn lane_key(l: &TickLane) -> (Ns, u64) {
-    (l.time, l.seq)
 }
 
 /// Floyd heapify: turns an arbitrary key array into a min-heap in O(len),
@@ -1002,69 +785,6 @@ pub(crate) fn fnv(h: &mut u64, word: u64) {
     ktau_core::digest::fnv_word(h, word);
 }
 
-/// Handles one event against a slice of nodes whose global ids start at
-/// `base`: settles the target node's parked ticks up to the event time,
-/// dispatches the event, and re-parks or re-arms the node's tick lanes.
-///
-/// The serial engine calls this with the full node vector and `base == 0`;
-/// each worker of the sharded engine calls it with its own contiguous node
-/// range and per-shard queue.  Keeping both paths on the same function is
-/// what makes the bit-identical-digest guarantee structural rather than
-/// coincidental.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_on(
-    nodes: &mut [Node],
-    base: u32,
-    queue: &mut EventQueue,
-    fabric: &Fabric,
-    tick_ns: Ns,
-    coalesce: bool,
-    ticks_dispatched: &mut u64,
-    at: Ns,
-    point: Ns,
-    ev: Event,
-) {
-    queue.set_now(at);
-    #[cfg(feature = "selfprof")]
-    let sp_start = std::time::Instant::now();
-    let idx = (ev.node() - base) as usize;
-    if coalesce {
-        nodes[idx].settle_parked(at, tick_ns, Some(point));
-    }
-    let (n, q, f) = (&mut nodes[idx], &mut *queue, fabric);
-    match ev {
-        Event::Tick { node, cpu } => {
-            *ticks_dispatched += 1;
-            n.maybe_degrade_tick(cpu, at, q, f);
-            // A hot-removed CPU's tick lane dies here: its timer is
-            // simply never re-armed.  Fault-free runs always take this
-            // branch, preserving the exact push sequence.
-            if cpu < n.online {
-                n.on_tick(cpu, at, q, f);
-                if coalesce && n.tick_coalescible(cpu) {
-                    n.park_tick(cpu, at + tick_ns, at);
-                } else {
-                    q.push(at + tick_ns, Event::Tick { node, cpu });
-                }
-            }
-        }
-        Event::CpuDone { cpu, gen, .. } => n.on_cpu_done(cpu, gen, at, q, f),
-        Event::SegArrive {
-            conn, seq, payload, ..
-        } => n.on_segment(conn, seq, payload, at, q, f),
-        Event::AckArrive { conn, ack_seq, .. } => n.on_ack(conn, ack_seq, at, q, f),
-        Event::RtxTimer { conn, gen, .. } => n.on_rtx_timer(conn, gen, at, q, f),
-        Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q),
-        Event::Wake { pid, .. } => n.on_wake(pid, at, q, f),
-        Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q),
-    }
-    if coalesce {
-        nodes[idx].arm_uncoalescible(queue);
-    }
-    #[cfg(feature = "selfprof")]
-    selfprof::dispatch_ns(event_class(&ev), sp_start.elapsed().as_nanos() as u64);
-}
-
 /// The self-profiler's event-class index for an event: its wire tag, which
 /// [`ktau_core::selfprof::EVENT_CLASS_NAMES`] is aligned with.
 #[cfg(feature = "selfprof")]
@@ -1137,15 +857,10 @@ pub struct Cluster {
     /// Dynticks (NO_HZ-style) engine: coalescible timer ticks are parked
     /// per CPU and folded analytically instead of dispatched one by one,
     /// and per-segment `TxDone` bookkeeping events are elided into a lazy
-    /// release ledger.  Simulated state is bit-identical to the per-tick
-    /// engines.
+    /// release ledger.  Simulated state is bit-identical to the every-tick
+    /// reference engine.
     pub(crate) coalesce_ticks: bool,
     pub(crate) spec: ClusterSpec,
-    /// Requested worker count for the conservative-PDES sharded runner;
-    /// 1 (the default) keeps every run on the serial path.
-    pub(crate) shards: usize,
-    /// Diagnostics from the most recent sharded run, if any.
-    pub(crate) last_shard_stats: Option<crate::shard::ShardStats>,
 }
 
 impl Cluster {
@@ -1154,29 +869,19 @@ impl Cluster {
     /// timer interrupts are not phase-locked).  Uses the dynticks engine:
     /// coalescible ticks are folded in closed form rather than dispatched.
     pub fn new(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new(), true)
+        Cluster::boot(spec, true)
     }
 
-    /// Boots with the PR 1 fast engine: tick-lane event queue, every tick
-    /// dispatched individually.  Simulated behaviour is identical to
-    /// [`Cluster::new`]; benchmarks compare the engine generations.
-    pub fn new_fast_engine(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new(), false)
-    }
-
-    /// Boots with the all-heap reference event queue (no tick lanes, no
-    /// coalescing).  Simulated behaviour is identical to [`Cluster::new`];
-    /// this exists so benchmarks and equivalence tests can compare the
-    /// engine paths.
+    /// Boots the every-tick reference engine: no coalescing, every timer
+    /// tick dispatched from the queue.  Simulated behaviour is identical to
+    /// [`Cluster::new`]; this is the oracle that equivalence tests and
+    /// benchmarks compare the dynticks engine against.
     pub fn new_reference_engine(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new_all_heap(), false)
+        Cluster::boot(spec, false)
     }
 
-    pub(crate) fn boot_with_queue(
-        spec: ClusterSpec,
-        mut queue: EventQueue,
-        coalesce_ticks: bool,
-    ) -> Self {
+    pub(crate) fn boot(spec: ClusterSpec, coalesce_ticks: bool) -> Self {
+        let mut queue = EventQueue::new();
         let fabric = Fabric::new(spec.fabric_latency_ns);
         let control = std::sync::Arc::new(spec.control.clone());
         let mut nodes = Vec::with_capacity(spec.nodes.len());
@@ -1228,8 +933,6 @@ impl Cluster {
             ticks_dispatched: 0,
             coalesce_ticks,
             spec,
-            shards: 1,
-            last_shard_stats: None,
         };
         cluster.spawn_noise();
         cluster
@@ -1287,36 +990,6 @@ impl Cluster {
         self.now
     }
 
-    /// Requests `n` conservative-PDES worker shards for subsequent runs
-    /// (clamped to at least 1; node count caps the effective value).  With
-    /// `n >= 2` an eligible topology — two or more nodes, non-zero minimum
-    /// cross-node link latency — runs the event loop on `n` threads with
-    /// bit-identical results to the serial engine; ineligible topologies
-    /// silently fall back to the serial path.
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
-    }
-
-    /// The requested shard count (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Diagnostics from the most recent sharded run: windows, barriers,
-    /// cross-shard mail, checkpoint/rollback counts.  `None` until a run
-    /// actually executed on the sharded path.
-    pub fn shard_stats(&self) -> Option<&crate::shard::ShardStats> {
-        self.last_shard_stats.as_ref()
-    }
-
-    /// True when the current topology and shard request qualify for the
-    /// parallel runner.  A zero minimum link latency means zero lookahead —
-    /// conservative windows would have zero width — so such topologies stay
-    /// serial (an unlinked topology, `None`, shards trivially).
-    fn shard_eligible(&self) -> bool {
-        self.shards >= 2 && self.nodes.len() >= 2 && self.fabric.min_link_latency() != Some(0)
-    }
-
     /// The cluster spec this was booted from.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
@@ -1348,7 +1021,6 @@ impl Cluster {
     pub fn spawn(&mut self, node: u32, spec: TaskSpec) -> Pid {
         if spec.kind == crate::task::TaskKind::App {
             self.apps_spawned += 1;
-            self.nodes[node as usize].apps_spawned += 1;
         }
         let now = self.now;
         // A spawn mutates scheduler state outside any event handler: fold
@@ -1391,21 +1063,56 @@ impl Cluster {
         n.arm_uncoalescible(q);
     }
 
+    /// Handles one event: settles the target node's parked ticks up to the
+    /// event time, dispatches the event, and re-parks or re-arms the node's
+    /// tick lanes.
     fn handle(&mut self, at: Ns, point: Ns, ev: Event) {
         self.now = at;
         self.events_processed += 1;
-        dispatch_on(
-            &mut self.nodes,
-            0,
+        self.queue.set_now(at);
+        #[cfg(feature = "selfprof")]
+        let sp_start = std::time::Instant::now();
+        let tick_ns = self.spec.sched.tick_ns();
+        let coalesce = self.coalesce_ticks;
+        let (n, q, f) = (
+            &mut self.nodes[ev.node() as usize],
             &mut self.queue,
             &self.fabric,
-            self.spec.sched.tick_ns(),
-            self.coalesce_ticks,
-            &mut self.ticks_dispatched,
-            at,
-            point,
-            ev,
         );
+        if coalesce {
+            n.settle_parked(at, tick_ns, Some(point));
+        }
+        match ev {
+            Event::Tick { node, cpu } => {
+                self.ticks_dispatched += 1;
+                n.maybe_degrade_tick(cpu, at, q, f);
+                // A hot-removed CPU's tick lane dies here: its timer is
+                // simply never re-armed.  Fault-free runs always take this
+                // branch, preserving the exact push sequence.
+                if cpu < n.online {
+                    n.on_tick(cpu, at, q, f);
+                    if coalesce && n.tick_coalescible(cpu) {
+                        n.park_tick(cpu, at + tick_ns, at);
+                    } else {
+                        q.push(at + tick_ns, Event::Tick { node, cpu });
+                    }
+                }
+            }
+            Event::CpuDone { cpu, gen, .. } => n.on_cpu_done(cpu, gen, at, q, f),
+            Event::SegArrive {
+                conn, seq, payload, ..
+            } => n.on_segment(conn, seq, payload, at, q, f),
+            Event::AckArrive { conn, ack_seq, .. } => n.on_ack(conn, ack_seq, at, q, f),
+            Event::RtxTimer { conn, gen, .. } => n.on_rtx_timer(conn, gen, at, q, f),
+            Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q),
+            Event::Wake { pid, .. } => n.on_wake(pid, at, q, f),
+            Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q),
+        }
+        if coalesce {
+            n.arm_uncoalescible(q);
+        }
+        #[cfg(feature = "selfprof")]
+        selfprof::dispatch_ns(event_class(&ev), sp_start.elapsed().as_nanos() as u64);
     }
 
     /// Folds every node's parked ticks that fire strictly before `horizon`
@@ -1439,13 +1146,13 @@ impl Cluster {
 
     /// Timer ticks whose full handler effect was applied analytically by the
     /// dynticks engine instead of being dispatched from the event queue.
-    /// Always 0 on the fast/reference engines.
+    /// Always 0 on the reference engine.
     pub fn ticks_coalesced(&self) -> u64 {
         self.nodes.iter().map(|n| n.ticks_coalesced).sum()
     }
 
     /// Per-segment `TxDone` bookkeeping events replaced by ledger entries by
-    /// the dynticks engine.  Always 0 on the fast/reference engines.
+    /// the dynticks engine.  Always 0 on the reference engine.
     pub fn txdone_elided(&self) -> u64 {
         self.nodes.iter().map(|n| n.txdone_elided).sum()
     }
@@ -1453,7 +1160,7 @@ impl Cluster {
     /// Total simulated events: dispatched events plus coalesced ticks and
     /// elided `TxDone`s whose effects were applied without a dispatch.  This
     /// is the engine-independent measure of simulated work; it is identical
-    /// across the dynticks/fast/reference engines for the same workload.
+    /// across the dynticks and reference engines for the same workload.
     pub fn events_simulated(&self) -> u64 {
         self.events_processed + self.ticks_coalesced() + self.txdone_elided()
     }
@@ -1462,7 +1169,7 @@ impl Cluster {
     /// simulation state: virtual time plus every task's identity, counters,
     /// profile and merged/wall aggregates on every node.  Two engines that
     /// simulated the same workload must produce equal digests; equivalence
-    /// tests compare this across the dynticks/fast/reference engines.
+    /// tests compare this across the dynticks and reference engines.
     pub fn state_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv(&mut h, self.now);
@@ -1479,23 +1186,9 @@ impl Cluster {
     /// deadlock — e.g. mismatched sends/receives), identifying the stuck
     /// tasks.
     pub fn run_until_apps_exit(&mut self, deadline_ns: Ns) -> Ns {
-        if self.shard_eligible() {
-            if let Some(t) = crate::shard::run_until_apps_exit_sharded(self, deadline_ns) {
-                return t;
-            }
-            // The sharded runner declined (nothing to do, deadline, or
-            // deadlock): state has been merged back, and the serial loop
-            // below reproduces the exact serial outcome — including the
-            // diagnostics panic, when one is due.
-        }
-        self.run_until_apps_exit_serial(deadline_ns)
-    }
-
-    pub(crate) fn run_until_apps_exit_serial(&mut self, deadline_ns: Ns) -> Ns {
         let mut handled_any = false;
         // Exit counting is incremental: a dispatch can only retire app tasks
-        // on the node the event addresses (the same invariant the sharded
-        // engine's replay check leans on), so the loop tracks the cluster
+        // on the node the event addresses, so the loop tracks the cluster
         // total with one per-node delta instead of re-summing all nodes
         // every event.
         let mut exited = self.apps_exited();
@@ -1544,9 +1237,9 @@ impl Cluster {
         // cascades those dispatches push at T*).  The run then ends on a
         // pure virtual-time predicate — "every event with time <= T* has
         // been processed" — independent of the sub-nanosecond (push-point,
-        // seq) rank of the finishing event.  That predicate is what the
-        // sharded engine reproduces per shard, so serial and sharded runs
-        // stop on exactly the same prefix of the event timeline.
+        // seq) rank of the finishing event, so every run that reaches T*
+        // stops on exactly the same prefix of the event timeline (and the
+        // committed digests pin that prefix).
         if handled_any {
             self.drain_now();
         }
@@ -1557,7 +1250,7 @@ impl Cluster {
     /// time, including same-nanosecond cascades, then folds all parked
     /// ticks firing at or before it (the reference engine would have
     /// dispatched those ticks during the drain).
-    pub(crate) fn drain_now(&mut self) {
+    fn drain_now(&mut self) {
         // No pending event can precede `now` (pops are monotone in time and
         // handlers never schedule into the past), so "time == now" and
         // "time <= now" select the same events.
@@ -1571,9 +1264,6 @@ impl Cluster {
 
     /// Runs for `dur` nanoseconds of virtual time.
     pub fn run_for(&mut self, dur: Ns) -> Ns {
-        if self.shard_eligible() && dur > 0 {
-            return crate::shard::run_for_sharded(self, dur);
-        }
         let end = self.now + dur;
         while let Some(t) = self.queue.peek_time() {
             if t > end {
@@ -1671,83 +1361,6 @@ impl Cluster {
 mod tests {
     use super::*;
 
-    fn mixed_event(node: u32, i: u64) -> Event {
-        match i % 7 {
-            0 => Event::Tick {
-                node,
-                cpu: (i % 2) as u8,
-            },
-            1 => Event::CpuDone {
-                node,
-                cpu: (i % 2) as u8,
-                gen: i,
-            },
-            2 => Event::SegArrive {
-                node,
-                conn: ConnId((i % 3) as u32),
-                seq: i,
-                payload: 1448,
-            },
-            3 => Event::TxDone {
-                node,
-                conn: ConnId((i % 3) as u32),
-                payload: 512,
-            },
-            4 => Event::AckArrive {
-                node,
-                conn: ConnId((i % 3) as u32),
-                ack_seq: i,
-            },
-            5 => Event::RtxTimer {
-                node,
-                conn: ConnId((i % 3) as u32),
-                gen: i,
-            },
-            _ => Event::Wake {
-                node,
-                pid: Pid((i % 7) as u32 + 1),
-            },
-        }
-    }
-
-    /// The tick-lane queue must produce the exact pop sequence of a single
-    /// shared heap, under interleaved pushes and pops with colliding times.
-    #[test]
-    fn lanes_match_all_heap_ordering() {
-        let mut fast = EventQueue::new();
-        let mut reference = EventQueue::new_all_heap();
-        // Deterministic scramble with many equal timestamps to stress the
-        // FIFO tie-break across the lane/heap boundary.
-        let mut state = 0x0123_4567_89AB_CDEFu64;
-        let step = |s: &mut u64| {
-            *s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *s >> 33
-        };
-        let mut popped = 0;
-        for round in 0..2000u64 {
-            let r = step(&mut state);
-            let at = (r % 50) * 10; // heavy time collisions
-            let ev = mixed_event((r % 4) as u32, r);
-            fast.push(at, ev);
-            reference.push(at, ev);
-            if round % 3 == 0 {
-                let (a, b) = (fast.pop(), reference.pop());
-                assert_eq!(a, b, "divergence at round {round}");
-                popped += 1;
-            }
-            assert_eq!(fast.len(), reference.len());
-            assert_eq!(fast.peek_time(), reference.peek_time());
-        }
-        while let Some(b) = reference.pop() {
-            assert_eq!(fast.pop(), Some(b));
-            popped += 1;
-        }
-        assert!(fast.is_empty());
-        assert_eq!(popped, 2000);
-    }
-
     /// Re-armed ticks keep their FIFO position relative to same-time events.
     #[test]
     fn tick_rearm_preserves_fifo() {
@@ -1798,9 +1411,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// `len`/`pending_summary` count armed ticks that live in the lanes.
+    /// `len`/`pending_summary` count armed ticks alongside other events.
     #[test]
-    fn summary_counts_lanes() {
+    fn summary_counts_ticks() {
         let mut q = EventQueue::new();
         q.push(10, Event::Tick { node: 0, cpu: 0 });
         q.push(20, Event::Tick { node: 1, cpu: 0 });

@@ -2,12 +2,14 @@
 //! and [`Cluster::snapshot`] / [`Cluster::resume`].
 //!
 //! A snapshot captures *everything* the event loop will ever read — the
-//! event queue (heap and tick lanes, with explicit sequence numbers), every
+//! event queue (every pending entry with its explicit sequence number), every
 //! node's scheduler/socket/fault/measurement state, the fabric's open
 //! links, and the spec the cluster was booted from — into one versioned
 //! binary image following the repo-wide KTAU codec discipline (4-byte
 //! magic, `u16` version, little-endian fields, explicit end-of-input
-//! check).  [`Cluster::resume`] reconstructs a cluster that is
+//! check), sealed by an FNV-1a check over every preceding byte so a
+//! truncated or corrupted image fails with a typed error before any field
+//! is decoded.  [`Cluster::resume`] reconstructs a cluster that is
 //! *bit-identical going forward*: its state digest equals the captured one
 //! (verified on every resume), and running both the original and the
 //! resumed cluster produces identical digests at every future time.
@@ -34,6 +36,7 @@ use crate::program::Program;
 use crate::sim::{Cluster, EventQueue};
 use crate::task::Pid;
 use ktau_core::control::{InstrumentationControl, OverheadModel};
+use ktau_core::digest::{fnv_bytes, FNV_OFFSET};
 use ktau_core::event::Group;
 use ktau_core::time::CpuFreq;
 use ktau_core::wire::{CodecError, Reader, Writer};
@@ -43,12 +46,45 @@ use std::sync::{Arc, Mutex};
 
 /// Magic prefix of engine snapshot images.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KTAS";
-/// Current snapshot image version.  v2 (PR 9) stores per-task measurement
-/// sections in the compact arena layout; v1 images (dense measurement
-/// vectors) still decode — [`Cluster::resume`] accepts both.
-pub const SNAPSHOT_VERSION: u16 = 2;
-/// Oldest snapshot image version [`Cluster::resume`] still decodes.
-pub const SNAPSHOT_VERSION_MIN: u16 = 1;
+/// Snapshot image version, the only one [`Cluster::resume`] decodes; any
+/// other version fails with [`CodecError::BadVersion`].
+pub const SNAPSHOT_VERSION: u16 = 3;
+
+/// Bytes of the magic plus version header.
+const HEADER_LEN: usize = 6;
+/// Bytes of the trailing image check.
+const CHECK_LEN: usize = 8;
+
+/// FNV-1a over an image body: the value sealed into its last 8 bytes.  Each
+/// fold step is a bijection of the running hash, so any single-byte change
+/// anywhere in the body changes the check.
+fn image_check(body: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv_bytes(&mut h, body);
+    h
+}
+
+/// Validates an image's magic, version and trailing check, and returns a
+/// reader over the fields between the header and the check.
+fn open_image(image: &[u8]) -> Result<Reader<'_>, CodecError> {
+    let mut r = Reader::new(image);
+    if r.take(4)? != SNAPSHOT_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let v = r.u16()?;
+    if v != SNAPSHOT_VERSION {
+        return Err(CodecError::BadVersion(v));
+    }
+    if image.len() < HEADER_LEN + CHECK_LEN {
+        return Err(CodecError::Truncated);
+    }
+    let (body, check) = image.split_at(image.len() - CHECK_LEN);
+    let sealed = u64::from_le_bytes(check.try_into().expect("check is 8 bytes"));
+    if image_check(body) != sealed {
+        return Err(CodecError::Corrupt("snapshot image check"));
+    }
+    Ok(Reader::new(&body[HEADER_LEN..]))
+}
 
 // -- event-group tags --------------------------------------------------------
 
@@ -420,7 +456,7 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// The versioned binary image (`KTAS`).
+    /// The versioned binary image (`KTAS`), check included.
     pub fn image(&self) -> &[u8] {
         &self.image
     }
@@ -431,18 +467,10 @@ impl ClusterSnapshot {
     }
     /// Virtual capture time, decoded from the image header.
     pub fn captured_at(&self) -> Result<u64, CodecError> {
-        let mut r = Reader::new(&self.image);
-        if r.take(4)? != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let v = r.u16()?;
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&v) {
-            return Err(CodecError::BadVersion(v));
-        }
+        let mut r = open_image(&self.image)?;
         // Skip the spec (variable length) by decoding it.
         decode_spec(&mut r)?;
         r.bool()?; // coalesce_ticks
-        r.bool()?; // uses_lanes
         r.u64()
     }
 }
@@ -460,30 +488,14 @@ impl std::fmt::Debug for ClusterSnapshot {
 impl Cluster {
     /// Captures the complete engine state as a [`ClusterSnapshot`].
     ///
-    /// Valid on a quiescent serial cluster — between [`Cluster::run_for`]
-    /// calls, not mid-dispatch and not while sharded routing is installed
-    /// (sharded runs tear their routing down before returning, so any
-    /// cluster you can call this on qualifies).
+    /// Valid between [`Cluster::run_for`] calls (never mid-dispatch, which
+    /// the borrow checker already rules out).
     pub fn snapshot(&self) -> ClusterSnapshot {
-        self.snapshot_versioned(SNAPSHOT_VERSION)
-    }
-
-    /// [`Cluster::snapshot`] at an explicit image version — v1 emits the
-    /// dense pre-arena measurement sections so old readers (and the
-    /// version-compat tests) can round-trip current state.
-    #[doc(hidden)]
-    pub fn snapshot_versioned(&self, ver: u16) -> ClusterSnapshot {
-        assert!(
-            (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&ver),
-            "unsupported snapshot version {ver}"
-        );
-        let compact = ver >= 2;
         let mut w = Writer::new();
         w.bytes(SNAPSHOT_MAGIC);
-        w.u16(ver);
+        w.u16(SNAPSHOT_VERSION);
         encode_spec(&mut w, &self.spec);
         w.bool(self.coalesce_ticks);
-        w.bool(self.queue.uses_lanes());
         w.u64(self.now);
         w.u64(self.apps_spawned);
         w.u64(self.events_processed);
@@ -498,10 +510,12 @@ impl Cluster {
         self.queue.encode_wire(&mut w);
         w.u32(self.nodes.len() as u32);
         for n in &self.nodes {
-            n.encode_state(&mut w, compact);
+            n.encode_state(&mut w);
         }
         let digest = self.state_digest();
         w.u64(digest);
+        let check = image_check(w.as_slice());
+        w.u64(check);
         let mut programs = Vec::new();
         for n in &self.nodes {
             for t in n.tasks.slots().iter().flatten() {
@@ -524,23 +538,15 @@ impl Cluster {
     /// registries and clocks are recreated, preserving the boot-time `Arc`
     /// sharing of control state), then overlays every dynamic field from
     /// the image, replaces the event queue wholesale, and re-attaches the
-    /// side-car program clones.  The reconstruction is verified against the
-    /// capture-time state digest; a mismatch fails with
-    /// [`CodecError::DeltaMismatch`] rather than returning a cluster that
-    /// would silently diverge.
+    /// side-car program clones.  A truncated or corrupted image fails the
+    /// image check before any field is decoded.  The reconstruction is
+    /// verified against the capture-time state digest; a mismatch fails
+    /// with [`CodecError::DeltaMismatch`] rather than returning a cluster
+    /// that would silently diverge.
     pub fn resume(snap: &ClusterSnapshot) -> Result<Cluster, CodecError> {
-        let mut r = Reader::new(&snap.image);
-        if r.take(4)? != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let v = r.u16()?;
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&v) {
-            return Err(CodecError::BadVersion(v));
-        }
-        let compact = v >= 2;
+        let mut r = open_image(&snap.image)?;
         let spec = decode_spec(&mut r)?;
         let coalesce_ticks = r.bool()?;
-        let use_lanes = r.bool()?;
         let now = r.u64()?;
         let apps_spawned = r.u64()?;
         let events_processed = r.u64()?;
@@ -553,20 +559,15 @@ impl Cluster {
             let dst_node = r.u32()?;
             links.push(LinkSpec { src_node, dst_node });
         }
-        let queue = EventQueue::decode_wire(&mut r, use_lanes)?;
-        let boot_queue = if use_lanes {
-            EventQueue::new()
-        } else {
-            EventQueue::new_all_heap()
-        };
-        let mut cluster = Cluster::boot_with_queue(spec, boot_queue, coalesce_ticks);
+        let queue = EventQueue::decode_wire(&mut r)?;
+        let mut cluster = Cluster::boot(spec, coalesce_ticks);
         let n_nodes = r.u32()? as usize;
         if n_nodes != cluster.nodes.len() {
             return Err(CodecError::BadField("node count"));
         }
         let mut needs_program = 0usize;
         for node in &mut cluster.nodes {
-            needs_program += node.apply_state(&mut r, compact)?.len();
+            needs_program += node.apply_state(&mut r)?.len();
         }
         let digest = r.u64()?;
         r.expect_end()?;
@@ -576,8 +577,6 @@ impl Cluster {
         cluster.apps_spawned = apps_spawned;
         cluster.events_processed = events_processed;
         cluster.ticks_dispatched = ticks_dispatched;
-        cluster.shards = 1;
-        cluster.last_shard_stats = None;
         if snap.programs.len() != needs_program {
             return Err(CodecError::BadField("program side-car"));
         }
@@ -712,18 +711,46 @@ mod tests {
     fn unknown_snapshot_versions_are_rejected() {
         let mut c = Cluster::new(ClusterSpec::chiba(1));
         c.run_for(1_000_000);
-        let mut snap = c.snapshot();
-        // Patch the u16 version field (little-endian, right after the magic).
-        snap.image[4] = 99;
-        snap.image[5] = 0;
-        assert!(matches!(
-            Cluster::resume(&snap),
-            Err(CodecError::BadVersion(99))
-        ));
-        assert!(matches!(
-            snap.captured_at(),
-            Err(CodecError::BadVersion(99))
-        ));
+        let snap = c.snapshot();
+        // Patch the u16 version field (little-endian, right after the
+        // magic): the previous format and a future one both fail typed.
+        for v in [2u16, 99] {
+            let mut bad = snap.clone();
+            bad.image[4..6].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(Cluster::resume(&bad), Err(CodecError::BadVersion(x)) if x == v));
+            assert!(matches!(bad.captured_at(), Err(CodecError::BadVersion(x)) if x == v));
+        }
+    }
+
+    /// Every truncated prefix of an image, and a flip of any one of its
+    /// bytes, fails with a typed error — never a panic, never a cluster.
+    #[test]
+    fn truncated_and_flipped_images_fail_typed() {
+        let mut c = Cluster::new(ClusterSpec::chiba(2));
+        let conn = c.open_conn(0, 1);
+        let bytes = 64 << 10;
+        let tx = crate::OpList::new(vec![crate::Op::Send { conn, bytes }]);
+        let rx = crate::OpList::new(vec![crate::Op::Recv { conn, bytes }]);
+        c.spawn(0, crate::TaskSpec::app("tx", Box::new(tx)));
+        c.spawn(1, crate::TaskSpec::app("rx", Box::new(rx)));
+        c.run_for(2_000_000);
+        let snap = c.snapshot();
+        assert!(Cluster::resume(&snap).is_ok());
+        assert_eq!(snap.captured_at(), Ok(c.now()));
+        let n = snap.image.len();
+        let mut bad = snap.clone();
+        for len in 0..n {
+            bad.image.clear();
+            bad.image.extend_from_slice(&snap.image[..len]);
+            assert!(Cluster::resume(&bad).is_err(), "{len}-byte prefix resumed");
+            assert!(bad.captured_at().is_err(), "{len}-byte prefix dated");
+        }
+        for i in 0..n {
+            bad.image.clone_from(&snap.image);
+            bad.image[i] ^= 0xA5;
+            assert!(Cluster::resume(&bad).is_err(), "flip at {i} of {n} resumed");
+            assert!(bad.captured_at().is_err(), "flip at {i} of {n} dated");
+        }
     }
 
     #[test]

@@ -87,15 +87,10 @@ impl ModelQueue {
 }
 
 /// Runs one op script against both queues, checking every pop result, then
-/// drains both to the end.  `use_lanes` selects `EventQueue::new()` (ticks
-/// in dedicated lanes) vs `new_all_heap()`; a third of pushes are `Tick`
-/// events so the lane tier participates in the comparison.
-fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
-    let mut q = if use_lanes {
-        EventQueue::new()
-    } else {
-        EventQueue::new_all_heap()
-    };
+/// drains both to the end.  A third of pushes are `Tick` events, which
+/// share the wheel and overflow tiers with every other kind.
+fn check_script(ops: &[QOp]) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::new();
     let mut m = ModelQueue::default();
     let mut now: Ns = 0;
     let mut pushed: u64 = 0;
@@ -115,7 +110,7 @@ fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
                 pushed += 1;
                 // `gen` makes every payload distinguishable, so a slab
                 // mix-up cannot masquerade as a correct pop; every third
-                // push is a Tick to exercise the lane tier.
+                // push is a Tick.
                 let ev = if pushed.is_multiple_of(3) {
                     Event::Tick {
                         node: (pushed % 7) as u32,
@@ -157,68 +152,53 @@ fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Lane-enabled queue (the fast engine's configuration).
     #[test]
-    fn queue_matches_heap_model_with_lanes(
+    fn queue_matches_heap_model(
         ops in proptest::collection::vec(arb_op(), 1..120)
     ) {
-        check_script(&ops, true)?;
-    }
-
-    /// All-heap queue (the reference engine's configuration).
-    #[test]
-    fn queue_matches_heap_model_all_heap(
-        ops in proptest::collection::vec(arb_op(), 1..120)
-    ) {
-        check_script(&ops, false)?;
+        check_script(&ops)?;
     }
 }
 
-/// Deterministic tie storm: many pushes at one nanosecond must pop in
-/// exact push (seq) order, from both tiers and lanes.
+/// Deterministic tie storm: many pushes at one nanosecond, ticks among
+/// them, must pop in exact push (seq) order.
 #[test]
 fn tie_storm_pops_in_push_order() {
-    for use_lanes in [false, true] {
-        let mut q = if use_lanes {
-            EventQueue::new()
+    let mut q = EventQueue::new();
+    let at = 1_000_000;
+    for i in 0..200u64 {
+        let ev = if i.is_multiple_of(3) {
+            Event::Tick {
+                node: i as u32,
+                cpu: 0,
+            }
         } else {
-            EventQueue::new_all_heap()
+            Event::CpuDone {
+                node: 0,
+                cpu: 0,
+                gen: i,
+            }
         };
-        let at = 1_000_000;
-        for i in 0..200u64 {
-            let ev = if i.is_multiple_of(3) {
-                Event::Tick {
-                    node: i as u32,
-                    cpu: 0,
-                }
-            } else {
-                Event::CpuDone {
-                    node: 0,
-                    cpu: 0,
-                    gen: i,
-                }
-            };
-            q.push(at, ev);
-        }
-        for i in 0..200u64 {
-            let (t, _, ev) = q.pop_full().expect("queue drained early");
-            assert_eq!(t, at);
-            let want = if i.is_multiple_of(3) {
-                Event::Tick {
-                    node: i as u32,
-                    cpu: 0,
-                }
-            } else {
-                Event::CpuDone {
-                    node: 0,
-                    cpu: 0,
-                    gen: i,
-                }
-            };
-            assert_eq!(ev, want, "tie broken out of seq order at {i}");
-        }
-        assert!(q.pop_full().is_none());
+        q.push(at, ev);
     }
+    for i in 0..200u64 {
+        let (t, _, ev) = q.pop_full().expect("queue drained early");
+        assert_eq!(t, at);
+        let want = if i.is_multiple_of(3) {
+            Event::Tick {
+                node: i as u32,
+                cpu: 0,
+            }
+        } else {
+            Event::CpuDone {
+                node: 0,
+                cpu: 0,
+                gen: i,
+            }
+        };
+        assert_eq!(ev, want, "tie broken out of seq order at {i}");
+    }
+    assert!(q.pop_full().is_none());
 }
