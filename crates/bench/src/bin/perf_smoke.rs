@@ -20,8 +20,9 @@
 //! events, < 70% of its total events, and produce an identical state digest;
 //! on the hz1000 config it must dispatch < 40% of the reference engine's
 //! total events (ticks dominate there) with an identical digest (digest
-//! equality is also asserted unconditionally — `--check` only adds the
-//! explicit gate report).
+//! equality is also asserted unconditionally).  `--check` also holds every
+//! engine's digest, at both HZ, to the `state_digest` pinned in the
+//! committed `BENCH_engine.json`.
 //!
 //! A baseline measured on an older commit can be folded in via
 //! `KTAU_SEED_COMMIT` / `KTAU_SEED_WALL_S` (same workload, same machine), and
@@ -411,8 +412,8 @@ fn selfprof_pass() {
 
 /// `--check`: the committed artifact must be fully populated — a `null`
 /// where a regen step was skipped fails here, loudly, with the command
-/// that fills it.
-fn check_bench_fields() {
+/// that fills it.  Returns the parsed artifact.
+fn check_bench_fields() -> serde_json::Value {
     let text = std::fs::read_to_string("BENCH_engine.json")
         .expect("BENCH_engine.json missing; regenerate with: cargo run --release -p ktau-bench --bin perf_smoke");
     let doc: serde_json::Value =
@@ -454,6 +455,36 @@ fn check_bench_fields() {
         missing.join("\n")
     );
     eprintln!("[perf_smoke --check] BENCH_engine.json required fields all populated");
+    doc
+}
+
+/// `--check`: every engine's measured digest, at both HZ, must equal the
+/// `state_digest` pinned in the committed `BENCH_engine.json`.
+fn check_pinned_digests(doc: &serde_json::Value, configs: [(&str, &ConfigNumbers); 2]) {
+    let mut moved = Vec::new();
+    for (hz, cfg) in configs {
+        for (engine, numbers) in [
+            ("dynticks_engine", &cfg.dynticks_engine),
+            ("reference_engine", &cfg.reference_engine),
+        ] {
+            let pinned = match doc.obj_get(hz).obj_get(engine).obj_get("state_digest") {
+                serde_json::Value::Str(d) => d.as_str(),
+                _ => "(missing)",
+            };
+            if pinned != numbers.state_digest {
+                moved.push(format!(
+                    "  {hz}.{engine}: measured {} vs pinned {pinned}",
+                    numbers.state_digest
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "state digests differ from the values pinned in BENCH_engine.json:\n{}",
+        moved.join("\n")
+    );
+    eprintln!("[perf_smoke --check] state digests match the pinned BENCH_engine.json values");
 }
 
 fn main() {
@@ -462,12 +493,11 @@ fn main() {
         return;
     }
     let check = std::env::args().any(|a| a == "--check");
-    if check {
-        check_bench_fields();
-    }
+    let committed = check.then(check_bench_fields);
     let hz100 = measure_config(100);
     let hz1000 = measure_config(1000);
-    if check {
+    if let Some(doc) = &committed {
+        check_pinned_digests(doc, [("hz100", &hz100), ("hz1000", &hz1000)]);
         let tick_pct = hz100.dynticks_engine.ticks_dispatched as f64
             / hz100.reference_engine.ticks_dispatched as f64;
         let total_pct = hz100.dynticks_engine.events_dispatched as f64

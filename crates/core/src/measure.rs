@@ -10,7 +10,7 @@
 
 use crate::control::{InstrumentationControl, OverheadModel, ProbeStatus};
 use crate::event::{EventId, Group};
-use crate::profile::Profile;
+use crate::profile::{read_ascending_id, Profile};
 use crate::time::{Cycles, Ns};
 use crate::trace::{TraceBuffer, TracePoint, TraceRecord};
 use crate::wire::{CodecError, Reader, Writer};
@@ -34,14 +34,14 @@ pub type MergedKey = (Option<EventId>, EventId);
 /// (slot 0 is "no routine", slot `i + 1` is user event id `i`), with each
 /// row's recorded (kernel-event column → stats) cells stored as a
 /// column-sorted chain in one shared cell arena — O(cells actually touched)
-/// instead of the previous `Vec<Vec<MergedStats>>` whose every row was
-/// dense up to the largest kernel event id it saw.  The dense layout stays
-/// the *observable* shape: each row head records the length its old dense
-/// row would have, and `Debug` synthesizes the zero cells, so engine state
-/// digests are unchanged.
+/// instead of a `Vec<Vec<MergedStats>>` whose every row is dense up to the
+/// largest kernel event id it saw.  The observable state is the set of
+/// non-default cells keyed by (row, column), exactly what
+/// [`MergedTable::encode_wire`] writes.
 #[derive(Clone, Default)]
 pub struct MergedTable {
-    rows: Vec<MergedRowHead>,
+    /// Per row: first cell of its column-sorted chain + 1 (`0` = empty row).
+    rows: Vec<u32>,
     cells: Vec<MergedCell>,
     /// Direct-mapped `(row, col, cell + 1)` cache of recent
     /// [`MergedTable::cell_mut`] resolutions, indexed by the column's low
@@ -50,21 +50,13 @@ pub struct MergedTable {
     /// events alternate (the tick fold records an outer/inner pair every
     /// call), so a few ways keep the chain walk off the repeat-fire fast
     /// path.  Cells are never moved or removed, so a hit can only be exact
-    /// or miss — never stale.  Not part of the observable state: `Debug`,
-    /// codecs and comparisons ignore it.
+    /// or miss — never stale.  Not part of the observable state: the
+    /// encoding ignores it.
     cache: [(u32, u32, u32); MERGED_CACHE_WAYS],
 }
 
 /// Ways in [`MergedTable`]'s direct-mapped cell cache.
 const MERGED_CACHE_WAYS: usize = 8;
-
-#[derive(Clone, Copy, Default)]
-struct MergedRowHead {
-    /// Length the old dense row would have (largest column touched + 1).
-    dense_len: u32,
-    /// First cell of the row's column-sorted chain + 1 (`0` = empty row).
-    head: u32,
-}
 
 #[derive(Clone, Copy)]
 struct MergedCell {
@@ -93,46 +85,16 @@ impl<'a> Iterator for ChainCells<'a> {
     }
 }
 
-/// Synthesizes one row's old dense cells — recorded stats at their columns,
-/// defaults in the gaps — up to the row's dense length.
-struct DenseRow<'a> {
-    cells: &'a [MergedCell],
-    cur: u32,
-    next_col: u32,
-    len: u32,
-}
-
-impl Iterator for DenseRow<'_> {
-    type Item = MergedStats;
-    fn next(&mut self) -> Option<MergedStats> {
-        if self.next_col >= self.len {
-            return None;
-        }
-        let col = self.next_col;
-        self.next_col += 1;
-        if self.cur != 0 {
-            let cell = &self.cells[self.cur as usize - 1];
-            if cell.col == col {
-                self.cur = cell.next;
-                return Some(cell.stats);
-            }
-        }
-        Some(MergedStats::default())
-    }
-}
-
 impl MergedTable {
     #[inline]
     fn slot(user: Option<EventId>) -> usize {
         user.map_or(0, |id| id.index() + 1)
     }
 
-    fn dense_row(&self, row: &MergedRowHead) -> DenseRow<'_> {
-        DenseRow {
+    fn chain(&self, head: u32) -> ChainCells<'_> {
+        ChainCells {
             cells: &self.cells,
-            cur: row.head,
-            next_col: 0,
-            len: row.dense_len,
+            cur: head,
         }
     }
 
@@ -146,16 +108,14 @@ impl MergedTable {
         let way = c as usize & (MERGED_CACHE_WAYS - 1);
         let e = self.cache[way];
         if e.2 != 0 && e.0 == r as u32 && e.1 == c {
-            // Repeat fire of the same pair: the cached cell is exact
-            // (dense_len was already raised past `c` when it was created).
+            // Repeat fire of the same pair: the cached cell is exact.
             return &mut self.cells[e.2 as usize - 1].stats;
         }
         if self.rows.len() <= r {
-            self.rows.resize(r + 1, MergedRowHead::default());
+            self.rows.resize(r + 1, 0);
         }
-        self.rows[r].dense_len = self.rows[r].dense_len.max(c + 1);
         let mut prev = 0u32;
-        let mut cur = self.rows[r].head;
+        let mut cur = self.rows[r];
         while cur != 0 {
             let cell = self.cells[cur as usize - 1];
             if cell.col == c {
@@ -175,7 +135,7 @@ impl MergedTable {
         });
         let new = self.cells.len() as u32;
         if prev == 0 {
-            self.rows[r].head = new;
+            self.rows[r] = new;
         } else {
             self.cells[prev as usize - 1].next = new;
         }
@@ -194,46 +154,42 @@ impl MergedTable {
 
     /// The cell for `key`, if it was ever recorded.
     pub fn get(&self, key: MergedKey) -> Option<&MergedStats> {
-        let row = self.rows.get(Self::slot(key.0))?;
+        let head = *self.rows.get(Self::slot(key.0))?;
         let c = key.1.index() as u32;
-        ChainCells {
-            cells: &self.cells,
-            cur: row.head,
-        }
-        .take_while(|cell| cell.col <= c)
-        .find(|cell| cell.col == c)
-        .map(|cell| &cell.stats)
-        .filter(|s| s.count > 0)
+        self.chain(head)
+            .take_while(|cell| cell.col <= c)
+            .find(|cell| cell.col == c)
+            .map(|cell| &cell.stats)
+            .filter(|s| s.count > 0)
     }
 
     /// Iterates recorded `(key, stats)` cells in dense (user, kernel) order.
     pub fn iter(&self) -> impl Iterator<Item = (MergedKey, &MergedStats)> {
-        self.rows.iter().enumerate().flat_map(move |(r, row)| {
+        self.rows.iter().enumerate().flat_map(move |(r, &head)| {
             let user = (r > 0).then(|| EventId((r - 1) as u32));
-            ChainCells {
-                cells: &self.cells,
-                cur: row.head,
-            }
-            .filter(|cell| cell.stats.count > 0)
-            .map(move |cell| ((user, EventId(cell.col)), &cell.stats))
+            self.chain(head)
+                .filter(|cell| cell.stats.count > 0)
+                .map(move |cell| ((user, EventId(cell.col)), &cell.stats))
         })
     }
 
     /// Heap bytes held by the compact storage (row heads + cell arena).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.rows.len() * size_of::<MergedRowHead>() + self.cells.len() * size_of::<MergedCell>()
+        self.rows.len() * size_of::<u32>() + self.cells.len() * size_of::<MergedCell>()
     }
 
     /// Heap bytes the pre-arena `Vec<Vec<MergedStats>>` layout would hold
-    /// for the same state: every row dense up to its largest column, plus
-    /// one inner-`Vec` header per row in the outer vector.
+    /// for the same state: every row dense up to its largest recorded column
+    /// (the tail of its column-sorted chain), plus one inner-`Vec` header
+    /// per row in the outer vector.
     pub fn dense_equivalent_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows
             .iter()
-            .map(|r| {
-                r.dense_len as usize * size_of::<MergedStats>() + size_of::<Vec<MergedStats>>()
+            .map(|&head| {
+                let len = self.chain(head).last().map_or(0, |c| c.col as usize + 1);
+                len * size_of::<MergedStats>() + size_of::<Vec<MergedStats>>()
             })
             .sum()
     }
@@ -245,23 +201,25 @@ impl MergedTable {
         self.cache = [(0, 0, 0); MERGED_CACHE_WAYS];
     }
 
-    /// Serializes the table for KTAS images: per row, the
-    /// dense watermark plus only the recorded cells in column order.
+    /// One row's cells that differ from a fresh cell, in column order.
+    fn live_cells(&self, head: u32) -> impl Iterator<Item = &MergedCell> + '_ {
+        self.chain(head)
+            .filter(|c| c.stats != MergedStats::default())
+    }
+
+    /// Serializes the table for KTAS images and state digests: every row
+    /// holding a non-default cell, keyed by row slot in ascending order,
+    /// each with its non-default cells in column order.
     pub fn encode_wire(&self, w: &mut Writer) {
-        w.u32(self.rows.len() as u32);
-        for row in &self.rows {
-            w.u32(row.dense_len);
-            let n = ChainCells {
-                cells: &self.cells,
-                cur: row.head,
+        let live = |head: u32| self.live_cells(head).next().is_some();
+        w.u32(self.rows.iter().filter(|&&head| live(head)).count() as u32);
+        for (slot, &head) in self.rows.iter().enumerate() {
+            if !live(head) {
+                continue;
             }
-            .count();
-            w.u32(n as u32);
-            let chain = ChainCells {
-                cells: &self.cells,
-                cur: row.head,
-            };
-            for cell in chain {
+            w.u32(slot as u32);
+            w.u32(self.live_cells(head).count() as u32);
+            for cell in self.live_cells(head) {
                 w.u32(cell.col);
                 w.u64(cell.stats.count);
                 w.u64(cell.stats.ns);
@@ -269,77 +227,40 @@ impl MergedTable {
         }
     }
 
-    /// Inverse of [`MergedTable::encode_wire`].  Columns
-    /// must be strictly ascending and inside the row's dense watermark;
+    /// Inverse of [`MergedTable::encode_wire`].  Row slots and, within a
+    /// row, columns must be strictly ascending and below the wire id limit;
     /// anything else is a corrupt image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.counted(8, "merged row count")?;
-        let mut rows = Vec::with_capacity(n);
-        let mut cells: Vec<MergedCell> = Vec::new();
+        let mut t = MergedTable::default();
+        let mut next_row = 0u32;
         for _ in 0..n {
-            let dense_len = r.u32()?;
-            if dense_len > crate::profile::MAX_DENSE_LEN {
-                return Err(CodecError::Corrupt("merged row length"));
-            }
+            let slot = read_ascending_id(r, &mut next_row, "merged row slot")? as usize;
+            t.rows.resize(slot + 1, 0);
             let m = r.counted(20, "merged cell count")?;
-            let mut head = 0u32;
             let mut tail = 0u32;
-            let mut next_min = 0u32;
+            let mut next_col = 0u32;
             for _ in 0..m {
-                let col = r.u32()?;
-                if col < next_min || col >= dense_len {
-                    return Err(CodecError::Corrupt("merged cell column"));
-                }
-                next_min = col + 1;
+                let col = read_ascending_id(r, &mut next_col, "merged cell column")?;
                 let stats = MergedStats {
                     count: r.u64()?,
                     ns: r.u64()?,
                 };
-                cells.push(MergedCell {
+                t.cells.push(MergedCell {
                     col,
                     next: 0,
                     stats,
                 });
-                let idx = cells.len() as u32;
+                let idx = t.cells.len() as u32;
                 if tail == 0 {
-                    head = idx;
+                    t.rows[slot] = idx;
                 } else {
-                    cells[tail as usize - 1].next = idx;
+                    t.cells[tail as usize - 1].next = idx;
                 }
                 tail = idx;
             }
-            rows.push(MergedRowHead { dense_len, head });
         }
-        Ok(MergedTable {
-            rows,
-            cells,
-            cache: [(0, 0, 0); MERGED_CACHE_WAYS],
-        })
-    }
-}
-
-// Reproduces the derived `Debug` output of the old `Vec<Vec<MergedStats>>`
-// layout (state digests hash this text): rows printed dense up to their
-// watermark, untouched columns as default cells.
-impl std::fmt::Debug for MergedTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Row<'a>(&'a MergedTable, &'a MergedRowHead);
-        impl std::fmt::Debug for Row<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list().entries(self.0.dense_row(self.1)).finish()
-            }
-        }
-        struct Rows<'a>(&'a MergedTable);
-        impl std::fmt::Debug for Rows<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(self.0.rows.iter().map(|r| Row(self.0, r)))
-                    .finish()
-            }
-        }
-        f.debug_struct("MergedTable")
-            .field("rows", &Rows(self))
-            .finish()
+        Ok(t)
     }
 }
 
@@ -347,11 +268,9 @@ impl std::fmt::Debug for MergedTable {
 /// as [`MergedTable`]).  Only slots ever recorded are stored — an entry's
 /// *presence* distinguishes "never recorded" from an accumulated zero, the
 /// distinction the old `Vec<Option<Ns>>` layout carried with a `None` per
-/// untouched slot.  The dense shape survives as a watermark for `Debug`.
+/// untouched slot.
 #[derive(Clone, Default)]
 pub struct WallTable {
-    /// Length the old dense `Vec<Option<Ns>>` would have.
-    dense_len: u32,
     /// Slot ids ever recorded, ascending.  Parallel to [`WallTable::ns`]:
     /// two packed arrays keep an entry at 4 + 8 bytes where a
     /// `Vec<(u32, Ns)>` pads each pair to 16.
@@ -360,7 +279,7 @@ pub struct WallTable {
     ns: Vec<Ns>,
     /// Index of the last slot [`WallTable::add`] resolved; re-validated
     /// before use, so staleness after an insert only costs a re-search.
-    /// Not observable state: `Debug`, codecs and comparisons ignore it.
+    /// Not observable state: the encoding ignores it.
     last_idx: u32,
 }
 
@@ -378,7 +297,6 @@ impl WallTable {
             self.ns[li] += ns;
             return;
         }
-        self.dense_len = self.dense_len.max(s + 1);
         match self.slots.binary_search(&s) {
             Ok(i) => {
                 self.ns[i] += ns;
@@ -392,14 +310,10 @@ impl WallTable {
         }
     }
 
-    #[inline]
-    fn slot_value(&self, s: u32) -> Option<Ns> {
-        self.slots.binary_search(&s).ok().map(|i| self.ns[i])
-    }
-
     /// Accumulated wall time under `user`, if ever recorded.
     pub fn get(&self, user: Option<EventId>) -> Option<Ns> {
-        self.slot_value(MergedTable::slot(user) as u32)
+        let s = MergedTable::slot(user) as u32;
+        self.slots.binary_search(&s).ok().map(|i| self.ns[i])
     }
 
     /// Iterates recorded `(user, ns)` entries in dense slot order.
@@ -415,22 +329,22 @@ impl WallTable {
         self.slots.len() * std::mem::size_of::<u32>() + self.ns.len() * std::mem::size_of::<Ns>()
     }
 
-    /// Heap bytes the pre-arena dense `Vec<Option<Ns>>` would hold.
+    /// Heap bytes the pre-arena dense `Vec<Option<Ns>>` would hold: one
+    /// entry per slot up to the largest recorded.
     pub fn dense_equivalent_bytes(&self) -> usize {
-        self.dense_len as usize * std::mem::size_of::<Option<Ns>>()
+        let len = self.slots.last().map_or(0, |&s| s as usize + 1);
+        len * std::mem::size_of::<Option<Ns>>()
     }
 
     /// Discards all entries.
     pub fn clear(&mut self) {
-        self.dense_len = 0;
         self.slots.clear();
         self.ns.clear();
     }
 
-    /// Serializes for KTAS images: the dense watermark plus only the
-    /// recorded slots in ascending order.
+    /// Serializes for KTAS images and state digests: every recorded slot
+    /// (an accumulated zero included) in ascending order.
     pub fn encode_wire(&self, w: &mut Writer) {
-        w.u32(self.dense_len);
         w.u32(self.slots.len() as u32);
         for (&s, &ns) in self.slots.iter().zip(&self.ns) {
             w.u32(s);
@@ -438,51 +352,22 @@ impl WallTable {
         }
     }
 
-    /// Inverse of [`WallTable::encode_wire`].  Slots must
-    /// be strictly ascending and inside the dense watermark.
+    /// Inverse of [`WallTable::encode_wire`].  Slots must be strictly
+    /// ascending and below the wire id limit.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let dense_len = r.u32()?;
-        if dense_len > crate::profile::MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("wall dense length"));
-        }
         let n = r.counted(12, "wall slot count")?;
         let mut slots = Vec::with_capacity(n);
         let mut ns = Vec::with_capacity(n);
         let mut next_min = 0u32;
         for _ in 0..n {
-            let s = r.u32()?;
-            if s < next_min || s >= dense_len {
-                return Err(CodecError::Corrupt("wall slot id"));
-            }
-            next_min = s + 1;
-            slots.push(s);
+            slots.push(read_ascending_id(r, &mut next_min, "wall slot id")?);
             ns.push(r.u64()?);
         }
         Ok(WallTable {
-            dense_len,
             slots,
             ns,
             last_idx: 0,
         })
-    }
-}
-
-// Reproduces the derived `Debug` output of the old `Vec<Option<Ns>>` layout
-// (state digests hash this text): all slots up to the watermark, untouched
-// ones as `None`.
-impl std::fmt::Debug for WallTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Slots<'a>(&'a WallTable);
-        impl std::fmt::Debug for Slots<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries((0..self.0.dense_len).map(|s| self.0.slot_value(s)))
-                    .finish()
-            }
-        }
-        f.debug_struct("WallTable")
-            .field("slots", &Slots(self))
-            .finish()
     }
 }
 
@@ -509,24 +394,9 @@ pub struct TaskMeasurement {
     /// this state.  The KTAUD service compares it against the generation it
     /// last observed to skip unchanged profiles without capturing them.
     /// Engine-dependent (the dynticks fold bumps once per batch where the
-    /// reference engine bumps per tick), so it is deliberately excluded from
-    /// the cross-engine state digest via the manual [`std::fmt::Debug`] impl.
+    /// reference engine bumps per tick), so the cross-engine state digest
+    /// hashes [`TaskMeasurement::encode_content`], which leaves it out.
     gen: u64,
-}
-
-// Reproduces the derived `Debug` output for the pre-`gen` field set:
-// `Cluster::state_digest` hashes this text, and the digest must stay
-// engine-independent while `gen` is not.
-impl std::fmt::Debug for TaskMeasurement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskMeasurement")
-            .field("kernel", &self.kernel)
-            .field("user", &self.user)
-            .field("trace", &self.trace)
-            .field("merged", &self.merged)
-            .field("wall", &self.wall)
-            .finish()
-    }
 }
 
 impl TaskMeasurement {
@@ -606,10 +476,10 @@ impl TaskMeasurement {
                 .map_or(0, |t| t.capacity() * std::mem::size_of::<TraceRecord>())
     }
 
-    /// Serializes complete measurement state — both profiles, the trace
-    /// buffer, merged/wall tables, and the dirty generation — for the
-    /// engine snapshot image.
-    pub fn encode_wire(&self, w: &mut Writer) {
+    /// Serializes the measurement content — both profiles, the trace
+    /// buffer and the merged/wall tables — without the engine-dependent
+    /// dirty generation.  This is what state digests hash.
+    pub fn encode_content(&self, w: &mut Writer) {
         self.kernel.encode_wire(w);
         self.user.encode_wire(w);
         match &self.trace {
@@ -621,6 +491,13 @@ impl TaskMeasurement {
         }
         self.merged.encode_wire(w);
         self.wall.encode_wire(w);
+    }
+
+    /// Serializes complete measurement state for the engine snapshot
+    /// image: [`TaskMeasurement::encode_content`] followed by the dirty
+    /// generation.
+    pub fn encode_wire(&self, w: &mut Writer) {
+        self.encode_content(w);
         w.u64(self.gen);
     }
 
@@ -1164,18 +1041,26 @@ mod tests {
         assert!(m.generation() > g1, "the dynticks fold must mark dirty");
     }
 
-    #[test]
-    fn debug_format_excludes_generation() {
-        // The cross-engine state digest hashes `{:?}` of this struct; the
-        // engine-dependent generation must be invisible to it.
-        let mut m = TaskMeasurement::profiling();
-        let before = format!("{m:?}");
-        m.mark_dirty();
-        assert_eq!(before, format!("{m:?}"));
+    fn bytes_of(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        f(&mut w);
+        w.into_vec()
     }
 
     #[test]
-    fn measurement_wire_roundtrips_preserve_debug() {
+    fn content_encoding_excludes_generation() {
+        // The cross-engine state digest hashes the content encoding; the
+        // engine-dependent generation must be invisible to it, and only to it.
+        let mut m = TaskMeasurement::profiling();
+        let content = bytes_of(|w| m.encode_content(w));
+        let image = bytes_of(|w| m.encode_wire(w));
+        m.mark_dirty();
+        assert_eq!(content, bytes_of(|w| m.encode_content(w)));
+        assert_ne!(image, bytes_of(|w| m.encode_wire(w)));
+    }
+
+    #[test]
+    fn measurement_wire_roundtrip_preserves_encoding() {
         let eng = ProbeEngine::prof_all();
         let mut m = TaskMeasurement::profiling();
         // Touch columns out of order so chains must sort, leave a kernel
@@ -1188,16 +1073,15 @@ mod tests {
         eng.kernel_atomic(&mut m, ev(9), Group::Tcp, 1460, 95);
         eng.user_exit(&mut m, ev(40), Group::User, 100);
         eng.kernel_entry(&mut m, ev(5), Group::Irq, 110); // stays live
-        let before = format!("{m:?}");
+        let bytes = bytes_of(|w| m.encode_wire(w));
 
-        let mut w = Writer::new();
-        m.encode_wire(&mut w);
-        let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
         let d = TaskMeasurement::decode_wire(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(format!("{d:?}"), before);
+        assert_eq!(bytes_of(|w| d.encode_wire(w)), bytes);
         assert_eq!(d.generation(), m.generation());
+        assert_eq!(d.merged_stats(Some(ev(40)), ev(7)).ns, 50);
+        assert_eq!(d.kernel_ns_in_user(ev(40)), 70);
     }
 
     #[test]
@@ -1229,7 +1113,7 @@ mod tests {
             MergedTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("merged row count"))
         ));
-        // Merged image with one row claiming an absurd dense watermark.
+        // Merged image keying a row beyond the maximum slot.
         let mut w = Writer::new();
         w.u32(1);
         w.u32(1 << 30);
@@ -1237,14 +1121,14 @@ mod tests {
         let bytes = w.into_vec();
         assert!(matches!(
             MergedTable::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("merged row length"))
+            Err(CodecError::Corrupt("merged row slot"))
         ));
-        // Compact merged image with a cell column outside its dense row.
+        // Merged image with a cell column beyond the maximum id.
         let mut w = Writer::new();
         w.u32(1); // one row
-        w.u32(2); // dense_len 2
+        w.u32(2); // row slot 2
         w.u32(1); // one cell
-        w.u32(7); // column 7 >= dense_len
+        w.u32(u32::MAX);
         w.u64(1);
         w.u64(5);
         let bytes = w.into_vec();
@@ -1252,9 +1136,20 @@ mod tests {
             MergedTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("merged cell column"))
         ));
+        // Merged image with repeated row slots.
+        let mut w = Writer::new();
+        w.u32(2); // two rows
+        for _ in 0..2 {
+            w.u32(3); // both at slot 3
+            w.u32(0);
+        }
+        let bytes = w.into_vec();
+        assert!(matches!(
+            MergedTable::decode_wire(&mut Reader::new(&bytes)),
+            Err(CodecError::Corrupt("merged row slot"))
+        ));
         // Wall image claiming more slots than bytes remain.
         let mut w = Writer::new();
-        w.u32(4);
         w.u32(1 << 20);
         w.u8(0);
         let bytes = w.into_vec();
@@ -1264,11 +1159,20 @@ mod tests {
         ));
         // Compact wall image with out-of-order slots.
         let mut w = Writer::new();
-        w.u32(4); // dense_len
         w.u32(2); // two entries
         w.u32(2);
         w.u64(10);
         w.u32(1); // slot goes backwards
+        w.u64(20);
+        let bytes = w.into_vec();
+        assert!(matches!(
+            WallTable::decode_wire(&mut Reader::new(&bytes)),
+            Err(CodecError::Corrupt("wall slot id"))
+        ));
+        // Wall image with a slot beyond the maximum.
+        let mut w = Writer::new();
+        w.u32(1);
+        w.u32(u32::MAX);
         w.u64(20);
         let bytes = w.into_vec();
         assert!(matches!(
@@ -1284,8 +1188,9 @@ mod tests {
         assert_eq!(wt.get(Some(ev(2))), Some(0));
         assert_eq!(wt.get(Some(ev(1))), None);
         assert_eq!(wt.get(None), None);
-        let dbg = format!("{wt:?}");
-        assert!(dbg.contains("[None, None, None, Some(0)]"), "{dbg}");
+        assert_eq!(wt.iter().collect::<Vec<_>>(), vec![(Some(ev(2)), 0)]);
+        let back = WallTable::decode_wire(&mut Reader::new(&bytes_of(|w| wt.encode_wire(w))));
+        assert_eq!(back.unwrap().get(Some(ev(2))), Some(0));
     }
 
     #[test]

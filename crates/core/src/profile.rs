@@ -129,11 +129,6 @@ impl AtomicStats {
 }
 
 /// One frame of the activation (instrumentation) stack.
-///
-/// `Debug` is implemented manually (printing exactly the five observable
-/// fields, in declaration order, as the pre-`slot` derive did): the stack
-/// is part of [`Profile`]'s `Debug` output, which engine state digests
-/// hash, so the cached slot must stay invisible to it.
 #[derive(Clone, Copy)]
 struct Activation {
     event: EventId,
@@ -151,18 +146,6 @@ struct Activation {
     interval_ns: Ns,
     /// Whether an activation of the same event was already on the stack.
     recursive: bool,
-}
-
-impl std::fmt::Debug for Activation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Activation")
-            .field("event", &self.event)
-            .field("entry_ns", &self.entry_ns)
-            .field("child_ns", &self.child_ns)
-            .field("interval_ns", &self.interval_ns)
-            .field("recursive", &self.recursive)
-            .finish()
-    }
 }
 
 /// Result of closing an activation.
@@ -222,15 +205,12 @@ impl std::error::Error for ProfileError {}
 /// assert_eq!(outer.incl_ns, 1_000);
 /// assert_eq!(outer.excl_ns, 700);  // child time carved out
 /// ```
-/// Storage is *lazy* (PR 9): statistics live in compact slot arenas
-/// allocated on an event's first fire, with a dense `u32` index translating
-/// event ids to slots — O(ids touched × 4 bytes + slots fired × 44 bytes)
-/// instead of the previous O(max id × 44 bytes) dense vectors.  The dense
-/// layout remains the *observable* shape: `entries_len`/`active_len`/
-/// `atomics_len` record the lengths the old vectors would have, and the
-/// manual [`std::fmt::Debug`] impl synthesizes default cells for
-/// unallocated ids, so engine state digests are byte-identical to the
-/// dense era.
+/// Storage is *lazy*: statistics live in compact slot arenas allocated on
+/// an event's first fire, with a dense `u32` index translating event ids to
+/// slots — O(ids touched × 4 bytes + slots fired × 44 bytes) instead of
+/// O(max id × 44 bytes) dense vectors.  The observable state is the set of
+/// non-default slots keyed by event id, exactly what
+/// [`Profile::encode_wire`] writes; slot allocation order is not part of it.
 #[derive(Clone, Default)]
 pub struct Profile {
     /// Event index → entry-slot index + 1 (`0` = never fired).
@@ -246,20 +226,29 @@ pub struct Profile {
     atomic_idx: Vec<u32>,
     atomic_slots: Vec<AtomicStats>,
     stack: Vec<Activation>,
-    /// Dense length the old layout's `entries` vector would have (largest
-    /// event id touched + 1) — the `Debug` synthesis bound.
-    entries_len: u32,
-    /// Dense length of the old `active` vector.  Tracks `entries_len`
-    /// except across [`Profile::absorb`], which only extended `entries`.
-    active_len: u32,
-    /// Dense length of the old `atomics` vector.
-    atomics_len: u32,
 }
 
-/// Dense watermarks beyond this are structurally impossible for real
-/// profiles (event ids are handed out densely by the registry) — compact
-/// decoders reject larger values before synthesizing anything from them.
-pub(crate) const MAX_DENSE_LEN: u32 = 1 << 20;
+/// Exclusive upper bound on every id a measurement-table decoder accepts
+/// (event ids, user-routine slots).  Real ids are handed out densely by the
+/// registry and stay far below it; a larger one is a corrupt image, rejected
+/// before any index is sized from it.
+pub(crate) const WIRE_ID_LIMIT: u32 = 1 << 20;
+
+/// Reads the next id of a strictly ascending, bounded id sequence — the key
+/// discipline of every measurement-table wire encoding.  `next_min` is the
+/// smallest id the sequence may continue with.
+pub(crate) fn read_ascending_id(
+    r: &mut Reader<'_>,
+    next_min: &mut u32,
+    what: &'static str,
+) -> Result<u32, CodecError> {
+    let id = r.u32()?;
+    if id < *next_min || id >= WIRE_ID_LIMIT {
+        return Err(CodecError::Corrupt(what));
+    }
+    *next_min = id + 1;
+    Ok(id)
+}
 
 /// Slot-arena lookup shared by the entry and atomic tables: maps event
 /// index `i` to its slot, allocating a default slot on first touch.
@@ -297,28 +286,20 @@ impl Profile {
         Self::default()
     }
 
-    /// Probe-path slot lookup: allocates on first fire and advances both
-    /// dense watermarks, exactly as the old `ensure_entry` grew both the
-    /// `entries` and `active` vectors together.
+    /// Probe-path slot lookup: allocates on first fire.
     #[inline]
     fn ensure_entry(&mut self, id: EventId) -> usize {
-        let i = id.index();
-        let s = alloc_entry(
+        alloc_entry(
             &mut self.entry_idx,
             &mut self.entry_slots,
             &mut self.entry_active,
-            i,
-        );
-        self.entries_len = self.entries_len.max(i as u32 + 1);
-        self.active_len = self.active_len.max(i as u32 + 1);
-        s
+            id.index(),
+        )
     }
 
     #[inline]
     fn ensure_atomic(&mut self, id: EventId) -> &mut AtomicStats {
-        let i = id.index();
-        let s = alloc_slot(&mut self.atomic_idx, &mut self.atomic_slots, i);
-        self.atomics_len = self.atomics_len.max(i as u32 + 1);
+        let s = alloc_slot(&mut self.atomic_idx, &mut self.atomic_slots, id.index());
         &mut self.atomic_slots[s]
     }
 
@@ -351,12 +332,12 @@ impl Profile {
     }
 
     /// Heap bytes the pre-arena dense layout would hold for the same state:
-    /// one stats row per event id up to the largest touched, fired or not.
+    /// one stats row and one recursion counter per event id up to the
+    /// largest touched, fired or not — the length of the id index.
     pub fn dense_equivalent_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.entries_len as usize * size_of::<EntryExitStats>()
-            + self.active_len as usize * size_of::<u32>()
-            + self.atomics_len as usize * size_of::<AtomicStats>()
+        self.entry_idx.len() * (size_of::<EntryExitStats>() + size_of::<u32>())
+            + self.atomic_idx.len() * size_of::<AtomicStats>()
             + self.stack.len() * size_of::<Activation>()
     }
 
@@ -397,7 +378,7 @@ impl Profile {
         let excl = incl.saturating_sub(top.child_ns);
         // The entry probe resolved (and if needed allocated) the slot; the
         // exit probe reuses it from the frame instead of repeating the
-        // id→slot lookup and watermark updates.
+        // id→slot lookup.
         let s = top.slot as usize;
         self.entry_active[s] -= 1;
         self.entry_slots[s].record(incl, excl, !top.recursive);
@@ -533,11 +514,6 @@ impl Profile {
     /// aggregation).  Activation stacks are not merged; both profiles should
     /// be quiescent or the in-flight activations are simply ignored.
     pub fn absorb(&mut self, other: &Profile) {
-        // The old dense absorb resized `entries`/`atomics` (but not
-        // `active`) to the other profile's length before merging; only the
-        // watermarks move here, cells stay lazy.
-        self.entries_len = self.entries_len.max(other.entries_len);
-        self.atomics_len = self.atomics_len.max(other.atomics_len);
         for (i, &s) in other.entry_idx.iter().enumerate() {
             if s == 0 {
                 continue;
@@ -616,7 +592,7 @@ impl Profile {
     /// slot is not serialized — it is an index into in-memory arenas the
     /// codec rebuilds in its own order).  A live frame's event normally has
     /// a slot already, via its non-zero recursion counter; allocating here
-    /// covers images that lost that invariant, without moving watermarks.
+    /// covers images that lost that invariant.
     fn rebind_stack_slots(&mut self) {
         for i in 0..self.stack.len() {
             let ev = self.stack[i].event;
@@ -629,36 +605,46 @@ impl Profile {
         }
     }
 
-    /// Serializes complete profile state — statistics, the live activation
-    /// stack, and recursion counters — for KTAS images: dense watermarks
-    /// plus only the allocated slots, keyed by event id in ascending order.
+    /// Entry slots that differ from a fresh slot (stats or live recursion
+    /// count), as `(event id, slot)` in ascending id order.  Allocation
+    /// order and all-default slots (a reset leaves them behind) stay out.
+    fn live_entries(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.entry_idx.iter().enumerate().filter_map(|(i, &s)| {
+            let s = (s as usize).checked_sub(1)?;
+            let live =
+                self.entry_slots[s] != EntryExitStats::default() || self.entry_active[s] != 0;
+            live.then_some((i as u32, s))
+        })
+    }
+
+    /// Atomic slots that differ from a fresh slot, ascending by id.
+    fn live_atomics(&self) -> impl Iterator<Item = (u32, &AtomicStats)> + '_ {
+        self.atomic_idx.iter().enumerate().filter_map(|(i, &s)| {
+            let a = &self.atomic_slots[(s as usize).checked_sub(1)?];
+            (*a != AtomicStats::default()).then_some((i as u32, a))
+        })
+    }
+
+    /// Serializes complete profile state — statistics, recursion counters
+    /// and the live activation stack — for KTAS images and state digests:
+    /// every non-default entry slot, then every non-default atomic slot,
+    /// each keyed by event id in ascending order, then the stack.  Equal
+    /// observable state always encodes to equal bytes.
     pub fn encode_wire(&self, w: &mut Writer) {
-        w.u32(self.entries_len);
-        w.u32(self.active_len);
-        let live = self.entry_idx.iter().filter(|&&s| s != 0).count();
-        w.u32(live as u32);
-        for (i, &s) in self.entry_idx.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let st = &self.entry_slots[s as usize - 1];
-            w.u32(i as u32);
+        w.u32(self.live_entries().count() as u32);
+        for (id, s) in self.live_entries() {
+            let st = &self.entry_slots[s];
+            w.u32(id);
             w.u64(st.count);
             w.u64(st.incl_ns);
             w.u64(st.excl_ns);
             w.u64(st.min_incl_ns);
             w.u64(st.max_incl_ns);
-            w.u32(self.entry_active[s as usize - 1]);
+            w.u32(self.entry_active[s]);
         }
-        w.u32(self.atomics_len);
-        let live = self.atomic_idx.iter().filter(|&&s| s != 0).count();
-        w.u32(live as u32);
-        for (i, &s) in self.atomic_idx.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let a = &self.atomic_slots[s as usize - 1];
-            w.u32(i as u32);
+        w.u32(self.live_atomics().count() as u32);
+        for (id, a) in self.live_atomics() {
+            w.u32(id);
             w.u64(a.count);
             w.u64(a.sum);
             w.u64(a.min);
@@ -667,27 +653,15 @@ impl Profile {
         self.encode_stack(w);
     }
 
-    /// Inverse of [`Profile::encode_wire`].  Slot ids must
-    /// be strictly ascending and inside the dense watermarks; anything else
-    /// is a corrupt image and fails loudly.
+    /// Inverse of [`Profile::encode_wire`].  Slot ids must be strictly
+    /// ascending and below the wire id limit; anything else is a corrupt
+    /// image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let entries_len = r.u32()?;
-        let active_len = r.u32()?;
-        if entries_len.max(active_len) > MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("profile dense length"));
-        }
-        let dense_cap = entries_len.max(active_len);
-        let mut entry_idx = Vec::new();
-        let mut entry_slots: Vec<EntryExitStats> = Vec::new();
-        let mut entry_active: Vec<u32> = Vec::new();
+        let mut p = Profile::default();
         let n = r.counted(48, "profile slot count")?;
         let mut next_min = 0u32;
         for _ in 0..n {
-            let id = r.u32()?;
-            if id < next_min || id >= dense_cap {
-                return Err(CodecError::Corrupt("profile slot id"));
-            }
-            next_min = id + 1;
+            let id = read_ascending_id(r, &mut next_min, "profile slot id")?;
             let stats = EntryExitStats {
                 count: r.u64()?,
                 incl_ns: r.u64()?,
@@ -696,103 +670,24 @@ impl Profile {
                 max_incl_ns: r.u64()?,
             };
             let active = r.u32()?;
-            let s = alloc_entry(
-                &mut entry_idx,
-                &mut entry_slots,
-                &mut entry_active,
-                id as usize,
-            );
-            entry_slots[s] = stats;
-            entry_active[s] = active;
+            let s = p.ensure_entry(EventId(id));
+            p.entry_slots[s] = stats;
+            p.entry_active[s] = active;
         }
-        let atomics_len = r.u32()?;
-        if atomics_len > MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("profile atomic dense length"));
-        }
-        let mut atomic_idx = Vec::new();
-        let mut atomic_slots: Vec<AtomicStats> = Vec::new();
         let n = r.counted(36, "profile atomic slot count")?;
         let mut next_min = 0u32;
         for _ in 0..n {
-            let id = r.u32()?;
-            if id < next_min || id >= atomics_len {
-                return Err(CodecError::Corrupt("profile atomic slot id"));
-            }
-            next_min = id + 1;
-            let a = AtomicStats {
+            let id = read_ascending_id(r, &mut next_min, "profile atomic slot id")?;
+            *p.ensure_atomic(EventId(id)) = AtomicStats {
                 count: r.u64()?,
                 sum: r.u64()?,
                 min: r.u64()?,
                 max: r.u64()?,
             };
-            let s = alloc_slot(&mut atomic_idx, &mut atomic_slots, id as usize);
-            atomic_slots[s] = a;
         }
-        let stack = Self::decode_stack(r)?;
-        let mut p = Profile {
-            entry_idx,
-            entry_slots,
-            entry_active,
-            atomic_idx,
-            atomic_slots,
-            stack,
-            entries_len,
-            active_len,
-            atomics_len,
-        };
+        p.stack = Self::decode_stack(r)?;
         p.rebind_stack_slots();
         Ok(p)
-    }
-}
-
-// Reproduces the derived `Debug` output of the old dense layout:
-// `Cluster::state_digest` hashes this text, so the arena representation
-// must be invisible to it.  Event ids below the dense watermarks that never
-// allocated a slot print as default cells, exactly as the old zero-filled
-// vectors did.
-impl std::fmt::Debug for Profile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Entries<'a>(&'a Profile);
-        impl std::fmt::Debug for Entries<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries((0..self.0.entries_len as usize).map(|i| {
-                        self.0
-                            .entry_pos(i)
-                            .map(|s| self.0.entry_slots[s])
-                            .unwrap_or_default()
-                    }))
-                    .finish()
-            }
-        }
-        struct Atomics<'a>(&'a Profile);
-        impl std::fmt::Debug for Atomics<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(
-                        (0..self.0.atomics_len as usize)
-                            .map(|i| self.0.atomic_slot(i).copied().unwrap_or_default()),
-                    )
-                    .finish()
-            }
-        }
-        struct Active<'a>(&'a Profile);
-        impl std::fmt::Debug for Active<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(
-                        (0..self.0.active_len as usize)
-                            .map(|i| self.0.entry_pos(i).map_or(0, |s| self.0.entry_active[s])),
-                    )
-                    .finish()
-            }
-        }
-        f.debug_struct("Profile")
-            .field("entries", &Entries(self))
-            .field("atomics", &Atomics(self))
-            .field("stack", &self.stack)
-            .field("active", &Active(self))
-            .finish()
     }
 }
 
@@ -960,14 +855,17 @@ mod tests {
         p.start(ev(500), 0);
         p.stop(ev(500), 100).unwrap();
         assert!(p.bytes() * 3 <= p.dense_equivalent_bytes());
-        // The dense shape is still what Debug reports.
-        let dbg = format!("{p:?}");
-        assert!(dbg.contains("count: 1"));
-        assert_eq!(dbg.matches("count: 0").count(), 500);
+        assert_eq!(p.iter_entries().count(), 1);
+    }
+
+    fn encoded(p: &Profile) -> Vec<u8> {
+        let mut w = crate::wire::Writer::new();
+        p.encode_wire(&mut w);
+        w.into_vec()
     }
 
     #[test]
-    fn wire_roundtrip_preserves_debug() {
+    fn wire_roundtrip_preserves_encoding() {
         let mut p = Profile::new();
         p.start(ev(3), 0);
         p.start(ev(3), 5); // recursive, stays live
@@ -975,52 +873,67 @@ mod tests {
         p.stop(ev(7), 40).unwrap();
         p.atomic(ev(12), 1460);
         p.add_interval(ev(1), 250);
-        let before = format!("{p:?}");
-
-        let mut w = crate::wire::Writer::new();
-        p.encode_wire(&mut w);
-        let bytes = w.into_vec();
+        let bytes = encoded(&p);
         let mut r = Reader::new(&bytes);
-        let c = Profile::decode_wire(&mut r).unwrap();
+        let mut c = Profile::decode_wire(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(format!("{c:?}"), before);
+        assert_eq!(encoded(&c), bytes);
+        assert_eq!(c.entry_stats(ev(7)), p.entry_stats(ev(7)));
+        assert_eq!(c.atomic_stats(ev(12)), p.atomic_stats(ev(12)));
+        // The decoded stack is live: closing it matches the original.
+        for q in [&mut p, &mut c] {
+            q.stop(ev(3), 50).unwrap();
+            q.stop(ev(3), 60).unwrap();
+        }
+        assert_eq!(encoded(&c), encoded(&p));
     }
 
     #[test]
-    fn absorb_extends_entries_watermark_but_not_active() {
+    fn encoding_ignores_allocation_order_and_default_slots() {
         let mut a = Profile::new();
+        a.atomic(ev(2), 5);
+        a.add_interval(ev(4), 10);
+        a.add_interval(ev(9), 20);
         let mut b = Profile::new();
-        b.start(ev(9), 0);
-        b.stop(ev(9), 10).unwrap();
-        a.absorb(&b);
-        // Old behavior: `entries` resized to 10 rows, `active` untouched.
-        let dbg = format!("{a:?}");
-        assert!(dbg.contains("active: []"), "{dbg}");
-        assert_eq!(a.entry_stats(ev(9)).count, 1);
+        b.add_interval(ev(9), 20);
+        b.add_interval(ev(4), 10);
+        b.atomic(ev(2), 5);
+        assert_eq!(encoded(&a), encoded(&b));
+        let mut z = Profile::new();
+        z.add_interval(ev(30), 1);
+        z.atomic(ev(31), 1);
+        z.reset(); // allocated slots, all back to defaults
+        assert_eq!(encoded(&z), encoded(&Profile::new()));
     }
 
     #[test]
     fn hostile_counts_fail_loudly() {
-        // An image claiming 2^31 slots in a 16-byte input.
+        // An image claiming 2^31 slots in a 12-byte input.
         let mut w = crate::wire::Writer::new();
-        w.u32(1);
-        w.u32(1);
         w.u32(1 << 31);
+        w.u32(0);
         w.u32(0);
         let bytes = w.into_vec();
         assert!(matches!(
             Profile::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("profile slot count"))
         ));
-        // An image with an absurd dense watermark.
-        let mut w = crate::wire::Writer::new();
-        w.u32(u32::MAX);
-        w.u32(0);
-        w.u32(0);
-        let bytes = w.into_vec();
+        // An image keying a slot at an id beyond the maximum.
+        let mut p = Profile::new();
+        p.add_interval(ev(2), 1);
+        let mut bytes = encoded(&p);
+        bytes[4..8].copy_from_slice(&WIRE_ID_LIMIT.to_le_bytes());
         assert!(matches!(
             Profile::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("profile dense length"))
+            Err(CodecError::Corrupt("profile slot id"))
+        ));
+        let mut p = Profile::new();
+        p.atomic(ev(2), 1);
+        let mut bytes = encoded(&p);
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Profile::decode_wire(&mut Reader::new(&bytes)),
+            Err(CodecError::Corrupt("profile atomic slot id"))
         ));
         // An image with out-of-order slot ids.
         let mut p = Profile::new();
@@ -1028,11 +941,9 @@ mod tests {
         p.stop(ev(2), 1).unwrap();
         p.start(ev(5), 2);
         p.stop(ev(5), 3).unwrap();
-        let mut w = crate::wire::Writer::new();
-        p.encode_wire(&mut w);
-        let mut bytes = w.into_vec();
-        // Swap the first slot id (2, at offset 12) to 5 so ids repeat.
-        bytes[12] = 5;
+        let mut bytes = encoded(&p);
+        // Swap the first slot id (2, at offset 4) to 5 so ids repeat.
+        bytes[4] = 5;
         assert!(matches!(
             Profile::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("profile slot id"))
@@ -1040,13 +951,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_needs_derived_debug_parity_for_zero_count_rows() {
+    fn zero_count_slot_with_nonzero_fields_survives_decode() {
         // A hand-built image with a zero-count slot carrying nonzero
-        // fields must survive the rehydration Debug-identically.
+        // fields is not a default slot: it must survive the round trip.
         let mut w = crate::wire::Writer::new();
-        w.u32(1); // entries watermark
-        w.u32(1); // active watermark
-        w.u32(1); // one allocated slot
+        w.u32(1); // one entry slot
         w.u32(0); // event id 0
         w.u64(0); // count 0
         w.u64(77); // but nonzero incl
@@ -1054,12 +963,12 @@ mod tests {
         w.u64(0);
         w.u64(0);
         w.u32(0); // no live activations
-        w.u32(0); // atomics watermark
         w.u32(0); // no atomic slots
         w.u32(0); // empty stack
         let bytes = w.into_vec();
         let p = Profile::decode_wire(&mut Reader::new(&bytes)).unwrap();
-        assert!(format!("{p:?}").contains("incl_ns: 77"));
+        assert_eq!(p.entry_stats(ev(0)).incl_ns, 77);
+        assert_eq!(encoded(&p), bytes);
     }
 
     #[test]

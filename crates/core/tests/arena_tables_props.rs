@@ -1,13 +1,15 @@
 //! Property tests: the arena-backed measurement tables (lazy profile slots,
 //! merged cell chains, sparse wall entries) are observation-equivalent to
-//! the old dense layouts they replaced.  Each test drives the real table and
-//! a dense reference model — plain `Vec`s indexed by event id, exactly the
-//! pre-arena storage — through the same random probe / batch-fold / reset
-//! sequence, then checks every observable surface: point reads, iteration
-//! order, totals and `Debug` text (what state digests hash) against the
-//! model's.  The same checks run again on the table decoded from its KTAS
-//! wire encoding, so the codec is held to the dense model too, and a
-//! decoded table must re-encode to the identical bytes.
+//! plain dense layouts — `Vec`s indexed by event id.  Each test drives the
+//! real table and a dense reference model through the same random probe /
+//! batch-fold / reset sequence, then checks every observable surface: point
+//! reads, iteration order, totals, and the canonical encoding (what KTAS
+//! images carry and state digests hash).  The encoding oracle is built here
+//! from the model alone: its non-default cells, keyed by id in ascending
+//! order, written field by field — so neither the arena's allocation order
+//! nor its left-behind default slots can leak into the bytes.  The same
+//! checks run again on the table decoded from those bytes, so the codec is
+//! held to the dense model too.
 
 use ktau_core::measure::{MergedStats, MergedTable, WallTable};
 use ktau_core::profile::{AtomicStats, EntryExitStats, Profile};
@@ -46,37 +48,53 @@ fn model_atomic(a: &mut AtomicStats, v: u64) {
     a.sum += v;
 }
 
-/// The pre-arena layouts, field for field.  Their derived `Debug` text is
-/// what the arena tables' hand-written `Debug` impls must reproduce.
-mod dense {
-    use ktau_core::measure::MergedStats;
-    use ktau_core::profile::{AtomicStats, EntryExitStats};
-    use ktau_core::EventId;
+/// The dense reference profile: stats and recursion counters indexed by
+/// event id (grown together), atomics indexed by event id, and the live
+/// activation stack.
+struct DenseProfile {
+    entries: Vec<EntryExitStats>,
+    active: Vec<u32>,
+    atomics: Vec<AtomicStats>,
+    stack: Vec<Frame>,
+}
 
-    // The fields are read only through the derived `Debug`.
-    #[allow(dead_code)]
-    #[derive(Debug)]
-    pub struct Profile {
-        pub entries: Vec<EntryExitStats>,
-        pub atomics: Vec<AtomicStats>,
-        pub stack: Vec<Activation>,
-        pub active: Vec<u32>,
+/// The canonical profile encoding, built from the dense model: non-default
+/// entry rows, then non-default atomic rows, each as `(id, fields)` in
+/// ascending id order, then the activation stack.
+fn profile_oracle(m: &DenseProfile) -> Vec<u8> {
+    let mut w = Writer::new();
+    let live: Vec<usize> = (0..m.entries.len())
+        .filter(|&i| m.entries[i] != EntryExitStats::default() || m.active[i] != 0)
+        .collect();
+    w.u32(live.len() as u32);
+    for i in live {
+        let e = &m.entries[i];
+        w.u32(i as u32);
+        for v in [e.count, e.incl_ns, e.excl_ns, e.min_incl_ns, e.max_incl_ns] {
+            w.u64(v);
+        }
+        w.u32(m.active[i]);
     }
-
-    #[allow(dead_code)]
-    #[derive(Debug)]
-    pub struct Activation {
-        pub event: EventId,
-        pub entry_ns: u64,
-        pub child_ns: u64,
-        pub interval_ns: u64,
-        pub recursive: bool,
+    let live: Vec<usize> = (0..m.atomics.len())
+        .filter(|&i| m.atomics[i] != AtomicStats::default())
+        .collect();
+    w.u32(live.len() as u32);
+    for i in live {
+        let a = &m.atomics[i];
+        w.u32(i as u32);
+        for v in [a.count, a.sum, a.min, a.max] {
+            w.u64(v);
+        }
     }
-
-    #[derive(Debug)]
-    pub struct MergedTable {
-        pub rows: Vec<Vec<MergedStats>>,
+    w.u32(m.stack.len() as u32);
+    for f in &m.stack {
+        w.u32(f.id);
+        w.u64(f.entry);
+        w.u64(f.child);
+        w.u64(f.interval);
+        w.bool(f.recursive);
     }
+    w.into_vec()
 }
 
 fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
@@ -131,7 +149,7 @@ fn arb_pop() -> impl Strategy<Value = POp> {
 }
 
 /// Mirror of one live activation frame, kept so the model can reproduce the
-/// stop-time inclusive/exclusive arithmetic and the stack's `Debug` text.
+/// stop-time inclusive/exclusive arithmetic and the stack's encoding.
 struct Frame {
     id: u32,
     entry: u64,
@@ -231,39 +249,19 @@ proptest! {
             }
         }
 
-        let model = dense::Profile {
-            entries,
-            atomics,
-            stack: stack
-                .iter()
-                .map(|f| dense::Activation {
-                    event: EventId(f.id),
-                    entry_ns: f.entry,
-                    child_ns: f.child,
-                    interval_ns: f.interval,
-                    recursive: f.recursive,
-                })
-                .collect(),
-            active,
-        };
+        let model = DenseProfile { entries, active, atomics, stack };
         check_profile(&p, &model)?;
 
-        // The wire encoding decodes to a table that passes the same checks,
-        // and re-encodes to the identical bytes even though in-memory slot
-        // allocation order (and zeroed slots a reset leaves behind) may
-        // differ.
-        let mut w = Writer::new();
-        p.encode_wire(&mut w);
-        let d = Profile::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        // The oracle bytes decode to a table that passes the same checks
+        // (its encoding included), even though in-memory slot allocation
+        // order and zeroed slots a reset leaves behind may differ.
+        let d = Profile::decode_wire(&mut Reader::new(&profile_oracle(&model))).unwrap();
         check_profile(&d, &model)?;
-        let mut w2 = Writer::new();
-        d.encode_wire(&mut w2);
-        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
 }
 
 /// Every observable surface of `p` against the dense model.
-fn check_profile(p: &Profile, model: &dense::Profile) -> Result<(), TestCaseError> {
+fn check_profile(p: &Profile, model: &DenseProfile) -> Result<(), TestCaseError> {
     // Point reads: fired ids match the model, never-fired ids (and ids
     // past the watermark) read as defaults.
     for i in 0..IDS + 8 {
@@ -297,15 +295,16 @@ fn check_profile(p: &Profile, model: &dense::Profile) -> Result<(), TestCaseErro
         model.entries.iter().map(|e| e.excl_ns).sum::<u64>()
     );
 
-    // Debug parity: the arena prints exactly what the dense layout
-    // printed (digests hash this text).
-    prop_assert_eq!(format!("{p:?}"), format!("{model:?}"));
+    // Encoding parity with the oracle built from the dense model.
+    let mut w = Writer::new();
+    p.encode_wire(&mut w);
+    prop_assert_eq!(w.into_vec(), profile_oracle(model));
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// MergedTable: add_n folds, bare cell touches (count-0 cells must survive as
-// dense-shape watermarks without becoming observations), clears
+// MergedTable: add_n folds, bare cell touches (count-0 cells must stay out of
+// every observation, the encoding included), clears
 // ---------------------------------------------------------------------------
 
 const USERS: u32 = 10;
@@ -351,6 +350,35 @@ fn mslot(user: Option<u32>) -> usize {
     user.map_or(0, |u| u as usize + 1)
 }
 
+/// The canonical merged encoding, built from the dense rows: each row with a
+/// non-default cell as `(slot, cell count)` in ascending slot order, followed
+/// by its non-default cells as `(column, count, ns)` in column order.
+fn merged_oracle(rows: &[Vec<MergedStats>]) -> Vec<u8> {
+    let live = |row: &Vec<MergedStats>| -> Vec<(usize, MergedStats)> {
+        row.iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, c)| *c != MergedStats::default())
+            .collect()
+    };
+    let mut w = Writer::new();
+    w.u32(rows.iter().filter(|r| !live(r).is_empty()).count() as u32);
+    for (slot, row) in rows.iter().enumerate() {
+        let cells = live(row);
+        if cells.is_empty() {
+            continue;
+        }
+        w.u32(slot as u32);
+        w.u32(cells.len() as u32);
+        for (col, c) in cells {
+            w.u32(col as u32);
+            w.u64(c.count);
+            w.u64(c.ns);
+        }
+    }
+    w.into_vec()
+}
+
 proptest! {
     #[test]
     fn merged_arena_matches_dense_model(ops in proptest::collection::vec(arb_mop(), 1..100)) {
@@ -381,24 +409,16 @@ proptest! {
             }
         }
 
-        let model = dense::MergedTable { rows };
-        check_merged(&t, &model)?;
+        check_merged(&t, &rows)?;
 
-        // The wire encoding decodes to a table that passes the same checks
-        // and re-encodes to the identical bytes.
-        let mut w = Writer::new();
-        t.encode_wire(&mut w);
-        let d = MergedTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
-        check_merged(&d, &model)?;
-        let mut w2 = Writer::new();
-        d.encode_wire(&mut w2);
-        prop_assert_eq!(w2.as_slice(), w.as_slice());
+        // The oracle bytes decode to a table that passes the same checks.
+        let d = MergedTable::decode_wire(&mut Reader::new(&merged_oracle(&rows))).unwrap();
+        check_merged(&d, &rows)?;
     }
 }
 
 /// Every observable surface of `t` against the dense model.
-fn check_merged(t: &MergedTable, model: &dense::MergedTable) -> Result<(), TestCaseError> {
-    let rows = &model.rows;
+fn check_merged(t: &MergedTable, rows: &[Vec<MergedStats>]) -> Result<(), TestCaseError> {
     // Point reads across the whole grid (touched-but-zero cells and
     // never-touched cells both read back as absent).
     for user in std::iter::once(None).chain((0..USERS).map(Some)) {
@@ -429,13 +449,15 @@ fn check_merged(t: &MergedTable, model: &dense::MergedTable) -> Result<(), TestC
         .collect();
     prop_assert_eq!(got, want);
 
-    // Debug parity with the dense rows, zero cells included.
-    prop_assert_eq!(format!("{t:?}"), format!("{model:?}"));
+    // Encoding parity with the oracle built from the dense rows.
+    let mut w = Writer::new();
+    t.encode_wire(&mut w);
+    prop_assert_eq!(w.into_vec(), merged_oracle(rows));
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// WallTable: sparse entries vs the old Vec<Option<Ns>> — presence must keep
+// WallTable: sparse entries vs a dense Vec<Option<Ns>> — presence must keep
 // distinguishing "never recorded" from an accumulated zero
 // ---------------------------------------------------------------------------
 
@@ -476,20 +498,27 @@ proptest! {
 
         check_wall(&wt, &model)?;
 
-        // The wire encoding decodes to a table that passes the same checks
-        // and re-encodes to the identical bytes.
-        let mut w = Writer::new();
-        wt.encode_wire(&mut w);
-        let d = WallTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        // The oracle bytes decode to a table that passes the same checks.
+        let d = WallTable::decode_wire(&mut Reader::new(&wall_oracle(&model))).unwrap();
         check_wall(&d, &model)?;
-        let mut w2 = Writer::new();
-        d.encode_wire(&mut w2);
-        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
 }
 
-/// Every observable surface of `wt` against the dense model (the old
-/// `Vec<Option<Ns>>` itself).
+/// The canonical wall encoding, built from the dense vector: every present
+/// slot (an accumulated zero included) as `(slot, ns)` in ascending order.
+fn wall_oracle(model: &[Option<u64>]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(model.iter().flatten().count() as u32);
+    for (slot, ns) in model.iter().enumerate() {
+        if let Some(ns) = ns {
+            w.u32(slot as u32);
+            w.u64(*ns);
+        }
+    }
+    w.into_vec()
+}
+
+/// Every observable surface of `wt` against the dense model.
 fn check_wall(wt: &WallTable, model: &[Option<u64>]) -> Result<(), TestCaseError> {
     // Point reads, including a zero-ns accumulation staying Some.
     for user in std::iter::once(None).chain((0..USERS).map(Some)) {
@@ -509,11 +538,9 @@ fn check_wall(wt: &WallTable, model: &[Option<u64>]) -> Result<(), TestCaseError
         .collect();
     prop_assert_eq!(got, want);
 
-    // Debug parity: the arena must print exactly what the old dense
-    // vector printed (digests hash this text).
-    prop_assert_eq!(
-        format!("{wt:?}"),
-        format!("WallTable {{ slots: {model:?} }}")
-    );
+    // Encoding parity with the oracle built from the dense vector.
+    let mut w = Writer::new();
+    wt.encode_wire(&mut w);
+    prop_assert_eq!(w.into_vec(), wall_oracle(model));
     Ok(())
 }

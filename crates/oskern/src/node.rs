@@ -1790,9 +1790,9 @@ impl Node {
     }
 
     /// Folds this node's externally-observable simulation state into a
-    /// running FNV-1a hash: per-task scheduler state, counters and full
-    /// measurement state (profiles, merged/wall tables, traces), plus
-    /// per-CPU idle/steal accounting.  Backs
+    /// running FNV-1a hash: per-CPU idle/steal accounting, then each task's
+    /// pid and CPU time and the bytes of [`Task::encode_digest`] (one
+    /// scratch writer reused across tasks).  Backs
     /// [`crate::sim::Cluster::state_digest`].
     pub(crate) fn digest_into(&self, h: &mut u64) {
         use crate::sim::fnv;
@@ -1802,22 +1802,13 @@ impl Node {
             fnv(h, c.idle_ns);
             fnv(h, c.steal_ns);
         }
-        let mut buf = String::new();
-        for pid in self.tasks.pids() {
-            let t = &self.tasks[pid];
+        let mut buf = Writer::new();
+        for (pid, t) in self.tasks.iter() {
             fnv(h, pid.0 as u64);
             fnv(h, t.cpu_ns);
-            use std::fmt::Write;
             buf.clear();
-            let _ = write!(
-                buf,
-                "{}|{:?}|{:?}|{:?}|{:?}",
-                t.comm, t.state, t.op, t.counters, t.meas
-            );
-            for b in buf.as_bytes() {
-                *h ^= *b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            t.encode_digest(&mut buf);
+            ktau_core::digest::fnv_bytes(h, buf.as_slice());
         }
     }
 
@@ -2626,5 +2617,137 @@ impl Node {
             .get_mut(pid)
             .expect("program side-car names a missing task")
             .program = Some(program);
+    }
+}
+
+#[cfg(test)]
+mod digest_tests {
+    use crate::config::ClusterSpec;
+    use crate::sim::Cluster;
+    use crate::task::{OpState, Task, TaskState};
+    use ktau_core::event::EventId;
+    use ktau_core::measure::TaskMeasurement;
+    use ktau_core::profile::Profile;
+    use ktau_core::trace::{TracePoint, TraceRecord};
+    use ktau_core::wire::{Reader, Writer};
+
+    fn ev(i: u32) -> EventId {
+        EventId(i)
+    }
+
+    /// A traced measurement with every table populated and one live kernel
+    /// activation.  `reversed` records the same order-independent cells in
+    /// the opposite order, so the arenas allocate their slots differently.
+    fn measurement(reversed: bool) -> TaskMeasurement {
+        let mut m = TaskMeasurement::with_trace(8);
+        m.kernel.start(ev(9), 100);
+        let mut steps: Vec<fn(&mut TaskMeasurement)> = vec![
+            |m| m.kernel.record_repeat(ev(2), 40, 30, 3),
+            |m| m.kernel.record_repeat(ev(5), 70, 70, 1),
+            |m| m.kernel.atomic(ev(3), 1460),
+            |m| m.kernel.atomic(ev(6), 40),
+            |m| m.user.record_repeat(ev(1), 500, 400, 2),
+            |m| m.merged.add_n((Some(ev(1)), ev(2)), 40, 3),
+            |m| m.merged.add_n((None, ev(5)), 70, 1),
+            |m| m.wall.add(Some(ev(1)), 120),
+            |m| m.wall.add(None, 70),
+        ];
+        if reversed {
+            steps.reverse();
+        }
+        for step in &steps {
+            step(&mut m);
+        }
+        m.trace.as_mut().unwrap().push(TraceRecord {
+            ts_ns: 100,
+            event: ev(9),
+            point: TracePoint::Entry,
+        });
+        m
+    }
+
+    /// Digest of a fresh one-node cluster whose first task carries
+    /// `measurement(reversed)`, after `edit` has changed one field.
+    fn digest_after(reversed: bool, edit: impl FnOnce(&mut Cluster, &mut Task)) -> u64 {
+        let mut c = Cluster::new(ClusterSpec::chiba(1));
+        let pid = c.nodes[0].tasks.pids()[0];
+        let mut t = c.nodes[0].tasks.remove(pid).unwrap();
+        t.meas = measurement(reversed);
+        edit(&mut c, &mut t);
+        c.nodes[0].tasks.insert(pid, t);
+        c.state_digest()
+    }
+
+    /// Re-decodes `p` with the recursion counter of its first entry slot
+    /// (the live activation's event, the profile's only entry slot) bumped.
+    fn bump_first_recursion_count(p: &mut Profile) {
+        let mut w = Writer::new();
+        p.encode_wire(&mut w);
+        let mut bytes = w.into_vec();
+        // slot count, event id, five u64 stats, then the counter.
+        let at = 4 + 4 + 40;
+        let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        bytes[at..at + 4].copy_from_slice(&(n + 1).to_le_bytes());
+        *p = Profile::decode_wire(&mut Reader::new(&bytes)).unwrap();
+    }
+
+    #[test]
+    fn digest_moves_with_every_logical_field_and_only_with_those() {
+        let base = digest_after(false, |_, _| {});
+        type Edit = fn(&mut Cluster, &mut Task);
+        let moving: &[(&str, Edit)] = &[
+            ("entry stat", |_, t| {
+                t.meas.kernel.record_repeat(ev(2), 40, 30, 1)
+            }),
+            ("atomic stat", |_, t| t.meas.kernel.atomic(ev(3), 1)),
+            ("stack frame", |_, t| t.meas.kernel.credit_child_time(1)),
+            ("recursion count", |_, t| {
+                bump_first_recursion_count(&mut t.meas.kernel)
+            }),
+            ("user profile", |_, t| t.meas.user.atomic(ev(0), 1)),
+            ("merged cell", |_, t| {
+                t.meas.merged.add_n((None, ev(5)), 1, 1)
+            }),
+            ("wall slot", |_, t| t.meas.wall.add(Some(ev(7)), 0)),
+            ("trace record", |_, t| {
+                t.meas.trace.as_mut().unwrap().push(TraceRecord {
+                    ts_ns: 200,
+                    event: ev(9),
+                    point: TracePoint::Exit,
+                })
+            }),
+            ("task state", |_, t| t.state = TaskState::Dead),
+            ("op state", |_, t| {
+                t.op = OpState::Computing { remaining: 1 }
+            }),
+            ("counter", |_, t| t.counters.page_faults += 1),
+            ("command name", |_, t| t.comm.push('x')),
+            ("cpu time", |_, t| t.cpu_ns += 1),
+            ("cpu idle", |c, _| c.nodes[0].cpus[0].idle_ns += 1),
+            ("cpu steal", |c, _| c.nodes[0].cpus[0].steal_ns += 1),
+        ];
+        for (what, edit) in moving {
+            assert_ne!(digest_after(false, edit), base, "digest ignores {what}");
+        }
+        let still: &[(&str, Edit)] = &[
+            ("dirty generation", |_, t| t.meas.mark_dirty()),
+            ("all-default merged cell", |_, t| {
+                t.meas.merged.cell_mut((Some(ev(4)), ev(11)));
+            }),
+            ("all-default profile slots", |_, t| {
+                let mut p = Profile::new();
+                p.atomic(ev(30), 1);
+                p.reset();
+                t.meas.user.absorb(&p);
+            }),
+        ];
+        for (what, edit) in still {
+            assert_eq!(digest_after(false, edit), base, "digest depends on {what}");
+        }
+        assert_eq!(
+            digest_after(true, |_, _| {}),
+            base,
+            "digest depends on arena allocation order"
+        );
     }
 }

@@ -1165,9 +1165,13 @@ impl Cluster {
         self.events_processed + self.ticks_coalesced() + self.txdone_elided()
     }
 
-    /// Order-insensitive FNV-1a digest of all externally-observable
-    /// simulation state: virtual time plus every task's identity, counters,
-    /// profile and merged/wall aggregates on every node.  Two engines that
+    /// FNV-1a digest of all externally-observable simulation state: virtual
+    /// time, then per node its id, `online` flag and per-CPU idle/steal
+    /// time, then per task its pid, CPU time and the KTAS encoding of its
+    /// command name, scheduler state, op state, counters and measurement
+    /// content (everything but the engine-dependent dirty generation).  The
+    /// encoders write only non-default table slots in id order, so arena
+    /// allocation order and caches never reach the hash.  Two engines that
     /// simulated the same workload must produce equal digests; equivalence
     /// tests compare this across the dynticks and reference engines.
     pub fn state_digest(&self) -> u64 {

@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KTAS";
 /// Snapshot image version, the only one [`Cluster::resume`] decodes; any
 /// other version fails with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u16 = 3;
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Bytes of the magic plus version header.
 const HEADER_LEN: usize = 6;
@@ -713,8 +713,8 @@ mod tests {
         c.run_for(1_000_000);
         let snap = c.snapshot();
         // Patch the u16 version field (little-endian, right after the
-        // magic): the previous format and a future one both fail typed.
-        for v in [2u16, 99] {
+        // magic): the previous formats and a future one all fail typed.
+        for v in [2u16, 3, 99] {
             let mut bad = snap.clone();
             bad.image[4..6].copy_from_slice(&v.to_le_bytes());
             assert!(matches!(Cluster::resume(&bad), Err(CodecError::BadVersion(x)) if x == v));

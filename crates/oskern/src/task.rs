@@ -256,12 +256,7 @@ impl Task {
             TaskKind::Daemon => 1,
             TaskKind::Idle => 2,
         });
-        w.u8(match self.state {
-            TaskState::Running => 0,
-            TaskState::Runnable => 1,
-            TaskState::Blocked => 2,
-            TaskState::Dead => 3,
-        });
+        w.u8(state_tag(self.state));
         w.u32(self.affinity);
         w.u8(self.last_cpu);
         w.u32(self.slice_left);
@@ -285,20 +280,7 @@ impl Task {
         encode_op_state(w, &self.op);
         w.bool(self.program.is_some());
         self.meas.encode_wire(w);
-        let c = &self.counters;
-        for v in [
-            c.migrations,
-            c.preemptions,
-            c.voluntary_switches,
-            c.syscalls,
-            c.page_faults,
-            c.signals,
-            c.wakeups,
-            c.interrupts,
-            c.send_timeouts,
-        ] {
-            w.u64(v);
-        }
+        encode_counters(w, &self.counters);
         w.u64(self.cpu_ns);
         w.u64(self.created_ns);
         w.u64(self.exited_ns);
@@ -317,6 +299,19 @@ impl Task {
                 w.str(s);
             }
         }
+    }
+
+    /// Writes this task's share of [`crate::sim::Cluster::state_digest`]:
+    /// command name, scheduler state, op state, counters and the
+    /// measurement content, each in its KTAS encoding.  The pid and CPU
+    /// time are folded in by the caller; the dirty generation is left out
+    /// because the engines bump it at different rates.
+    pub(crate) fn encode_digest(&self, w: &mut Writer) {
+        w.str(&self.comm);
+        w.u8(state_tag(self.state));
+        encode_op_state(w, &self.op);
+        encode_counters(w, &self.counters);
+        self.meas.encode_content(w);
     }
 
     /// Inverse of [`Task::encode_wire`].  Returns the task (with `program`
@@ -409,6 +404,31 @@ impl Task {
             },
             has_program,
         ))
+    }
+}
+
+fn state_tag(state: TaskState) -> u8 {
+    match state {
+        TaskState::Running => 0,
+        TaskState::Runnable => 1,
+        TaskState::Blocked => 2,
+        TaskState::Dead => 3,
+    }
+}
+
+fn encode_counters(w: &mut Writer, c: &TaskCounters) {
+    for v in [
+        c.migrations,
+        c.preemptions,
+        c.voluntary_switches,
+        c.syscalls,
+        c.page_faults,
+        c.signals,
+        c.wakeups,
+        c.interrupts,
+        c.send_timeouts,
+    ] {
+        w.u64(v);
     }
 }
 
