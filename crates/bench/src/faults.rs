@@ -120,8 +120,7 @@ pub fn run_flaky_link_lu16() -> FlakyLinkOutcome {
         .conns
         .iter()
         .filter_map(|(&(from, to), &conn)| {
-            let node = job.layout.places[from.0 as usize].node;
-            let stats = cluster.node(node).tx_conn_stats(conn)?;
+            let stats = cluster.tx_conn_stats(conn)?;
             (stats.retransmits > 0).then_some((from.0, to.0, stats.retransmits))
         })
         .collect();
@@ -245,8 +244,7 @@ mod tests {
         cluster.run_until_apps_exit(3_600 * NS_PER_SEC);
         assert!(cluster.total_retransmits() > 0, "no drops were repaired");
         for (&(from, to), &conn) in &job.conns {
-            let node = job.layout.places[from.0 as usize].node;
-            let Some(stats) = cluster.node(node).tx_conn_stats(conn) else {
+            let Some(stats) = cluster.tx_conn_stats(conn) else {
                 continue;
             };
             if from.0 != 1 && to.0 != 1 {

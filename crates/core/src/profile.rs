@@ -576,8 +576,13 @@ impl Profile {
         let n = r.counted(29, "activation stack depth")?;
         let mut stack = Vec::with_capacity(n);
         for _ in 0..n {
+            // The frame's entry slot is allocated from its event id.
+            let event = r.u32()?;
+            if event >= WIRE_ID_LIMIT {
+                return Err(CodecError::Corrupt("activation event id"));
+            }
             stack.push(Activation {
-                event: EventId(r.u32()?),
+                event: EventId(event),
                 slot: 0,
                 entry_ns: r.u64()?,
                 child_ns: r.u64()?,

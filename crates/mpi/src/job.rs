@@ -241,7 +241,7 @@ pub fn diagnose(cluster: &Cluster, job: &JobHandle) -> String {
         pairs.sort_by_key(|&(pair, _)| pair);
         for ((from, to), conn) in pairs {
             if from == rank {
-                let Some(tx) = cluster.node(node).tx_conn_stats(conn) else {
+                let Some(tx) = cluster.tx_conn_stats(conn) else {
                     continue;
                 };
                 let blocked_here = task.blocked_on == Some(BlockedOn::TxSpace(conn));
@@ -254,7 +254,7 @@ pub fn diagnose(cluster: &Cluster, job: &JobHandle) -> String {
                     );
                 }
             } else if to == rank {
-                let Some(rx) = cluster.node(node).rx_conn_stats(conn) else {
+                let Some(rx) = cluster.rx_conn_stats(conn) else {
                     continue;
                 };
                 let blocked_here = task.blocked_on == Some(BlockedOn::RxData(conn));

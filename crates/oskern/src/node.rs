@@ -101,7 +101,7 @@ struct RxState {
 }
 
 /// Diagnostic snapshot of a connection's send side (see
-/// [`Node::tx_conn_stats`]).
+/// [`crate::Cluster::tx_conn_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxConnStats {
     /// Bytes queued in the sndbuf.
@@ -117,7 +117,7 @@ pub struct TxConnStats {
 }
 
 /// Diagnostic snapshot of a connection's receive side (see
-/// [`Node::rx_conn_stats`]).
+/// [`crate::Cluster::rx_conn_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RxConnStats {
     /// Bytes readable right now.
@@ -169,12 +169,13 @@ pub struct Node {
     /// KTAU measurement engine.
     pub engine: ProbeEngine,
     pub(crate) nic: Nic,
-    /// Socket send states, indexed by the dense cluster-global `ConnId`
-    /// ([`Fabric::open`] hands ids out sequentially, so a flat slab beats a
-    /// hash lookup on every segment/ack/txdone).
-    sock_tx: Vec<Option<TxState>>,
-    /// Socket receive states, same dense `ConnId` indexing.
-    sock_rx: Vec<Option<RxState>>,
+    /// Send states of the connections this node sends on, in `ConnId`
+    /// order; [`Fabric::tx_slot`] maps a connection to its index here, so
+    /// the slab is O(own endpoints) yet every lookup is one array index.
+    sock_tx: Vec<TxState>,
+    /// Receive states of the connections this node receives on, indexed
+    /// through [`Fabric::rx_slot`].
+    sock_rx: Vec<RxState>,
     irq_rr: u8,
     pub(crate) sched: SchedParams,
     pub(crate) net_costs: NetCostModel,
@@ -422,32 +423,32 @@ impl Node {
     // -- socket slabs --------------------------------------------------------
 
     #[inline]
-    fn tx_state(&self, conn: ktau_net::ConnId) -> Option<&TxState> {
-        self.sock_tx.get(conn.0 as usize).and_then(Option::as_ref)
+    fn tx_state(&self, conn: ktau_net::ConnId, fabric: &Fabric) -> Option<&TxState> {
+        self.sock_tx.get(fabric.tx_slot(conn, self.id)?)
     }
 
     #[inline]
-    fn tx_state_mut(&mut self, conn: ktau_net::ConnId) -> Option<&mut TxState> {
-        self.sock_tx
-            .get_mut(conn.0 as usize)
-            .and_then(Option::as_mut)
+    fn tx_state_mut(&mut self, conn: ktau_net::ConnId, fabric: &Fabric) -> Option<&mut TxState> {
+        self.sock_tx.get_mut(fabric.tx_slot(conn, self.id)?)
     }
 
     #[inline]
-    fn rx_state(&self, conn: ktau_net::ConnId) -> Option<&RxState> {
-        self.sock_rx.get(conn.0 as usize).and_then(Option::as_ref)
+    fn rx_state(&self, conn: ktau_net::ConnId, fabric: &Fabric) -> Option<&RxState> {
+        self.sock_rx.get(fabric.rx_slot(conn, self.id)?)
     }
 
     #[inline]
-    fn rx_state_mut(&mut self, conn: ktau_net::ConnId) -> Option<&mut RxState> {
-        self.sock_rx
-            .get_mut(conn.0 as usize)
-            .and_then(Option::as_mut)
+    fn rx_state_mut(&mut self, conn: ktau_net::ConnId, fabric: &Fabric) -> Option<&mut RxState> {
+        self.sock_rx.get_mut(fabric.rx_slot(conn, self.id)?)
     }
 
     /// Send-side state of a connection whose tx end lives on this node.
-    pub fn tx_conn_stats(&self, conn: ktau_net::ConnId) -> Option<TxConnStats> {
-        self.tx_state(conn).map(|st| TxConnStats {
+    pub(crate) fn tx_conn_stats(
+        &self,
+        conn: ktau_net::ConnId,
+        fabric: &Fabric,
+    ) -> Option<TxConnStats> {
+        self.tx_state(conn, fabric).map(|st| TxConnStats {
             in_flight: st.tx.in_flight(),
             free: st.tx.free(),
             unacked: st.fault.as_ref().map(|f| f.unacked.len()).unwrap_or(0),
@@ -457,8 +458,12 @@ impl Node {
     }
 
     /// Receive-side state of a connection whose rx end lives on this node.
-    pub fn rx_conn_stats(&self, conn: ktau_net::ConnId) -> Option<RxConnStats> {
-        self.rx_state(conn).map(|st| RxConnStats {
+    pub(crate) fn rx_conn_stats(
+        &self,
+        conn: ktau_net::ConnId,
+        fabric: &Fabric,
+    ) -> Option<RxConnStats> {
+        self.rx_state(conn, fabric).map(|st| RxConnStats {
             available: st.rx.available(),
             expected_seq: st.rx.expected_seq(),
             buffered_segments: st.rx.buffered_segments(),
@@ -467,12 +472,16 @@ impl Node {
         })
     }
 
+    /// Send and receive endpoints this node holds state for.
+    pub fn socket_endpoints(&self) -> (usize, usize) {
+        (self.sock_tx.len(), self.sock_rx.len())
+    }
+
     /// Total segments this node's kernel has retransmitted across all of its
     /// sending connections (0 unless a fault injector is active).
     pub fn total_retransmits(&self) -> u64 {
         self.sock_tx
             .iter()
-            .flatten()
             .filter_map(|st| st.fault.as_ref())
             .map(|f| f.retransmits)
             .sum()
@@ -766,8 +775,10 @@ impl Node {
                         // Dynticks: apply NIC releases that matured at or
                         // before `now` — exactly the `TxDone`s the reference
                         // engine would have dispatched before this event.
-                        self.drain_releases(conn, now);
-                        let st = self.tx_state_mut(conn).expect("send on unknown conn");
+                        self.drain_releases(conn, now, fabric);
+                        let st = self
+                            .tx_state_mut(conn, fabric)
+                            .expect("send on unknown conn");
                         st.tx.reserve(remaining)
                     };
                     if accepted == 0 {
@@ -807,7 +818,7 @@ impl Node {
                             // re-block, the armed timer keeps running.
                             Some(_) => {}
                         }
-                        self.tx_state_mut(conn).unwrap().waiting_writer = Some(pid);
+                        self.tx_state_mut(conn, fabric).unwrap().waiting_writer = Some(pid);
                         // Dynticks: no TxDone event will fire to wake this
                         // writer, so arm one ReleaseWake at the first ledger
                         // maturity (all entries are > now after the drain
@@ -815,7 +826,7 @@ impl Node {
                         if self.dynticks {
                             let node = self.id;
                             let next = self
-                                .tx_state(conn)
+                                .tx_state(conn, fabric)
                                 .and_then(|st| st.pending_release.front())
                                 .map(|&(t, _)| t);
                             if let Some(t) = next {
@@ -849,12 +860,14 @@ impl Node {
                         continue;
                     }
                     let take = {
-                        let st = self.rx_state_mut(conn).expect("recv on unknown conn");
+                        let st = self
+                            .rx_state_mut(conn, fabric)
+                            .expect("recv on unknown conn");
                         st.reader_pid = Some(pid);
                         st.rx.consume(remaining)
                     };
                     if take == 0 {
-                        self.rx_state_mut(conn).unwrap().waiting_reader = Some(pid);
+                        self.rx_state_mut(conn, fabric).unwrap().waiting_reader = Some(pid);
                         self.block_current(cpu, BlockedOn::RxData(conn), now, q, fabric);
                         return;
                     }
@@ -1028,7 +1041,9 @@ impl Node {
         fabric: &Fabric,
     ) {
         let diag = {
-            let st = self.tx_state(conn).expect("timed send on unknown conn");
+            let st = self
+                .tx_state(conn, fabric)
+                .expect("timed send on unknown conn");
             let (unacked, rtx) = st
                 .fault
                 .as_ref()
@@ -1116,7 +1131,7 @@ impl Node {
             let t = now + self.c2n(cost);
             cost += self.probe_atomic(pid, self.probes.net_tx_bytes, Group::Tcp, payload as u64, t);
             let seq = {
-                let st = self.tx_state_mut(conn).unwrap();
+                let st = self.tx_state_mut(conn, fabric).unwrap();
                 st.tx.next_seq()
             };
             let produced_at = now + self.c2n(cost);
@@ -1135,7 +1150,7 @@ impl Node {
             // which is the only observer of the freed space.
             if self.dynticks {
                 self.txdone_elided += 1;
-                self.tx_state_mut(conn)
+                self.tx_state_mut(conn, fabric)
                     .unwrap()
                     .pending_release
                     .push_back((depart, payload));
@@ -1149,7 +1164,7 @@ impl Node {
                     },
                 );
             }
-            let fate = match self.tx_state_mut(conn).unwrap().fault.as_mut() {
+            let fate = match self.tx_state_mut(conn, fabric).unwrap().fault.as_mut() {
                 Some(f) => {
                     f.unacked.insert(seq, payload);
                     Some(f.injector.judge(produced_at))
@@ -1180,7 +1195,7 @@ impl Node {
         if let Some(at) = first_faulted_at {
             let node = self.id;
             let f = self
-                .tx_state_mut(conn)
+                .tx_state_mut(conn, fabric)
                 .unwrap()
                 .fault
                 .as_mut()
@@ -1366,7 +1381,10 @@ impl Node {
         q: &mut EventQueue,
         fabric: &Fabric,
     ) {
-        let loopback = self.rx_state(conn).map(|s| s.loopback).unwrap_or(false);
+        let loopback = self
+            .rx_state(conn, fabric)
+            .map(|s| s.loopback)
+            .unwrap_or(false);
         let cpu = self.route_irq();
         let ci = cpu as usize;
         let attr_pid = self.cpus[ci].current.unwrap_or(self.cpus[ci].idle_pid);
@@ -1379,7 +1397,7 @@ impl Node {
                     .map(|p| self.tasks[p].kind != TaskKind::Idle)
                     .unwrap_or(false)
             });
-        let reader = self.rx_state(conn).and_then(|s| s.reader_pid);
+        let reader = self.rx_state(conn, fabric).and_then(|s| s.reader_pid);
         let cross_cpu = reader
             .map(|r| self.tasks[r].last_cpu != cpu)
             .unwrap_or(false);
@@ -1417,7 +1435,9 @@ impl Node {
             self.cpus[ci].steal_ns += total_ns;
         }
 
-        let st = self.rx_state_mut(conn).expect("segment for unknown conn");
+        let st = self
+            .rx_state_mut(conn, fabric)
+            .expect("segment for unknown conn");
         // Out-of-order segments buffer, duplicates are discarded, and a full
         // rcvbuf refuses the segment (the sender's retransmission recovers
         // it) — the return value says which; only in-order delivery changes
@@ -1441,7 +1461,7 @@ impl Node {
         // ACKed — including duplicates and refusals — so the sender sees
         // cumulative-ack progress (and the lack of it) promptly.
         if !loopback {
-            let st = self.rx_state_mut(conn).unwrap();
+            let st = self.rx_state_mut(conn, fabric).unwrap();
             st.ack_pending += 1;
             let every = if st.fault_active { 1 } else { 2 };
             if st.ack_pending >= every {
@@ -1472,7 +1492,7 @@ impl Node {
         ack_seq: u64,
         now: Ns,
         q: &mut EventQueue,
-        _fabric: &Fabric,
+        fabric: &Fabric,
     ) {
         let cpu = self.route_irq();
         let ci = cpu as usize;
@@ -1506,7 +1526,10 @@ impl Node {
         // timer.  Fault-free connections have no fault state and skip this
         // entirely (no event pushes → determinism preserved).
         let node = self.id;
-        if let Some(f) = self.tx_state_mut(conn).and_then(|st| st.fault.as_mut()) {
+        if let Some(f) = self
+            .tx_state_mut(conn, fabric)
+            .and_then(|st| st.fault.as_mut())
+        {
             let before = f.unacked.len();
             f.unacked.retain(|&s, _| s >= ack_seq);
             if f.unacked.is_empty() {
@@ -1548,7 +1571,10 @@ impl Node {
     ) {
         let node = self.id;
         let (seq, payload, fate) = {
-            let f = match self.tx_state_mut(conn).and_then(|st| st.fault.as_mut()) {
+            let f = match self
+                .tx_state_mut(conn, fabric)
+                .and_then(|st| st.fault.as_mut())
+            {
                 Some(f) => f,
                 None => return,
             };
@@ -1607,7 +1633,7 @@ impl Node {
         }
         // Exponential backoff and re-arm.
         let f = self
-            .tx_state_mut(conn)
+            .tx_state_mut(conn, fabric)
             .and_then(|st| st.fault.as_mut())
             .expect("fault state vanished mid-retransmit");
         f.timer_gen += 1;
@@ -1624,8 +1650,11 @@ impl Node {
         payload: u32,
         now: Ns,
         q: &mut EventQueue,
+        fabric: &Fabric,
     ) {
-        let st = self.tx_state_mut(conn).expect("txdone for unknown conn");
+        let st = self
+            .tx_state_mut(conn, fabric)
+            .expect("txdone for unknown conn");
         st.tx.release(payload as u64);
         if st.tx.free() > 0 {
             if let Some(w) = st.waiting_writer.take() {
@@ -1642,8 +1671,8 @@ impl Node {
 
     /// Applies every ledgered NIC release that matured at or before `now`
     /// (dynticks replacement for dispatching the corresponding `TxDone`s).
-    fn drain_releases(&mut self, conn: ktau_net::ConnId, now: Ns) {
-        let Some(st) = self.tx_state_mut(conn) else {
+    fn drain_releases(&mut self, conn: ktau_net::ConnId, now: Ns, fabric: &Fabric) {
+        let Some(st) = self.tx_state_mut(conn, fabric) else {
             return;
         };
         while let Some(&(t, payload)) = st.pending_release.front() {
@@ -1662,10 +1691,16 @@ impl Node {
     /// send timeout meanwhile and re-armed another one) are harmless: the
     /// ledger drain is idempotent for a given `now` and the writer slot is
     /// already empty.
-    pub(crate) fn on_release_wake(&mut self, conn: ktau_net::ConnId, now: Ns, q: &mut EventQueue) {
-        self.drain_releases(conn, now);
+    pub(crate) fn on_release_wake(
+        &mut self,
+        conn: ktau_net::ConnId,
+        now: Ns,
+        q: &mut EventQueue,
+        fabric: &Fabric,
+    ) {
+        self.drain_releases(conn, now, fabric);
         let node = self.id;
-        let Some(st) = self.tx_state_mut(conn) else {
+        let Some(st) = self.tx_state_mut(conn, fabric) else {
             return;
         };
         if st.tx.free() > 0 {
@@ -2056,12 +2091,10 @@ impl Node {
     // -- sockets -------------------------------------------------------------
 
     /// Installs the sending end of a connection on this node, with
-    /// retransmission machinery when the link has a fault injector.
-    pub(crate) fn add_tx(&mut self, conn: ktau_net::ConnId, injector: Option<LinkInjector>) {
-        let i = conn.0 as usize;
-        if i >= self.sock_tx.len() {
-            self.sock_tx.resize_with(i + 1, || None);
-        }
+    /// retransmission machinery when the link has a fault injector.  Ends
+    /// are installed in `ConnId` order, so the new state lands in the slot
+    /// [`Fabric::open`] assigned it.
+    pub(crate) fn add_tx(&mut self, injector: Option<LinkInjector>) {
         let fault = injector.map(|injector| TxFault {
             rto_ns: injector.rto_ns(),
             injector,
@@ -2072,7 +2105,7 @@ impl Node {
             retransmits: 0,
             timer_fires: 0,
         });
-        self.sock_tx[i] = Some(TxState {
+        self.sock_tx.push(TxState {
             tx: SocketTx::new(self.sndbuf_bytes),
             waiting_writer: None,
             fault,
@@ -2080,25 +2113,15 @@ impl Node {
         });
     }
 
-    /// Installs the receiving end of a connection on this node.  A
-    /// configured `rcvbuf` bounds the receive queue; `None` keeps the
-    /// legacy unbounded model.
-    pub(crate) fn add_rx(
-        &mut self,
-        conn: ktau_net::ConnId,
-        loopback: bool,
-        fault_active: bool,
-        rcvbuf: Option<u64>,
-    ) {
-        let i = conn.0 as usize;
-        if i >= self.sock_rx.len() {
-            self.sock_rx.resize_with(i + 1, || None);
-        }
+    /// Installs the receiving end of a connection on this node, in the same
+    /// order as [`Node::add_tx`].  A configured `rcvbuf` bounds the receive
+    /// queue; `None` keeps the legacy unbounded model.
+    pub(crate) fn add_rx(&mut self, loopback: bool, fault_active: bool, rcvbuf: Option<u64>) {
         let rx = match rcvbuf {
             Some(cap) => SocketRx::bounded(cap),
             None => SocketRx::new(),
         };
-        self.sock_rx[i] = Some(RxState {
+        self.sock_rx.push(RxState {
             rx,
             waiting_reader: None,
             reader_pid: None,
@@ -2129,8 +2152,9 @@ impl Node {
         &mut self,
         conn: ktau_net::ConnId,
         injector: Option<LinkInjector>,
+        fabric: &Fabric,
     ) -> bool {
-        let Some(st) = self.tx_state_mut(conn) else {
+        let Some(st) = self.tx_state_mut(conn, fabric) else {
             return false;
         };
         let old = st.fault.take();
@@ -2169,8 +2193,13 @@ impl Node {
 
     /// Flags a receiving connection as fault-active (ACK every segment) or
     /// not, matching [`Node::set_tx_fault`] on the sending side.
-    pub(crate) fn set_rx_fault_active(&mut self, conn: ktau_net::ConnId, active: bool) {
-        if let Some(st) = self.rx_state_mut(conn) {
+    pub(crate) fn set_rx_fault_active(
+        &mut self,
+        conn: ktau_net::ConnId,
+        active: bool,
+        fabric: &Fabric,
+    ) {
+        if let Some(st) = self.rx_state_mut(conn, fabric) {
             st.fault_active = active;
         }
     }
@@ -2186,6 +2215,20 @@ impl Node {
 // -- engine snapshot codec ---------------------------------------------------
 
 use ktau_core::wire::{CodecError, Reader, Writer};
+
+// Smallest encodings of the repeated records in a node image, the floors
+// [`Reader::counted`] checks decoded counts against.
+/// A CPU: id, current-pid tag, idle pid, seven `u64`s, chunk flag.
+const WIRE_CPU_BYTES: usize = 63;
+/// A tick lane: fire-time tag, generation, push point.
+const WIRE_LANE_BYTES: usize = 17;
+/// A `(seq or time, payload)` pair: unacked, released or out-of-order.
+const WIRE_SEGMENT_BYTES: usize = 12;
+/// A send endpoint: four `u64`s, writer tag, fault tag, release count.
+const WIRE_TX_BYTES: usize = 38;
+/// A receive endpoint: eight `u64`s, capacity tag, out-of-order count, two
+/// pid tags, three flag bytes.
+const WIRE_RX_BYTES: usize = 74;
 
 fn w_opt_pid(w: &mut Writer, p: Option<Pid>) {
     match p {
@@ -2302,75 +2345,65 @@ impl Node {
                 }
             }
         }
+        // Owned endpoints only, in slab (= `ConnId`) order: resume matches
+        // each count against the fabric's links for this node.
         w.u32(self.sock_tx.len() as u32);
         for st in &self.sock_tx {
-            match st {
+            let tx = st.tx.export_state();
+            w.u64(tx.capacity);
+            w.u64(tx.in_flight);
+            w.u64(tx.next_seq);
+            w.u64(tx.total_sent);
+            w_opt_pid(w, st.waiting_writer);
+            match &st.fault {
                 None => w.u8(0),
-                Some(st) => {
+                Some(f) => {
                     w.u8(1);
-                    let tx = st.tx.export_state();
-                    w.u64(tx.capacity);
-                    w.u64(tx.in_flight);
-                    w.u64(tx.next_seq);
-                    w.u64(tx.total_sent);
-                    w_opt_pid(w, st.waiting_writer);
-                    match &st.fault {
-                        None => w.u8(0),
-                        Some(f) => {
-                            w.u8(1);
-                            crate::snapshot::encode_fault_spec(w, f.injector.spec());
-                            for word in f.injector.rng_state() {
-                                w.u64(word);
-                            }
-                            w.u64(f.rto_ns);
-                            w.u32(f.unacked.len() as u32);
-                            for (&seq, &payload) in &f.unacked {
-                                w.u64(seq);
-                                w.u32(payload);
-                            }
-                            w.u64(f.timer_gen);
-                            w.bool(f.timer_armed);
-                            w.u32(f.backoff);
-                            w.u64(f.retransmits);
-                            w.u64(f.timer_fires);
-                        }
+                    crate::snapshot::encode_fault_spec(w, f.injector.spec());
+                    for word in f.injector.rng_state() {
+                        w.u64(word);
                     }
-                    w.u32(st.pending_release.len() as u32);
-                    for &(t, payload) in &st.pending_release {
-                        w.u64(t);
+                    w.u64(f.rto_ns);
+                    w.u32(f.unacked.len() as u32);
+                    for (&seq, &payload) in &f.unacked {
+                        w.u64(seq);
                         w.u32(payload);
                     }
+                    w.u64(f.timer_gen);
+                    w.bool(f.timer_armed);
+                    w.u32(f.backoff);
+                    w.u64(f.retransmits);
+                    w.u64(f.timer_fires);
                 }
+            }
+            w.u32(st.pending_release.len() as u32);
+            for &(t, payload) in &st.pending_release {
+                w.u64(t);
+                w.u32(payload);
             }
         }
         w.u32(self.sock_rx.len() as u32);
         for st in &self.sock_rx {
-            match st {
-                None => w.u8(0),
-                Some(st) => {
-                    w.u8(1);
-                    let rx = st.rx.export_state();
-                    w.u64(rx.available);
-                    w.u64(rx.expected_seq);
-                    w.u64(rx.total_received);
-                    w.u64(rx.total_consumed);
-                    w_opt_u64(w, rx.capacity);
-                    w.u32(rx.ooo.len() as u32);
-                    for (seq, payload) in &rx.ooo {
-                        w.u64(*seq);
-                        w.u32(*payload);
-                    }
-                    w.u64(rx.ooo_bytes);
-                    w.u64(rx.refused_bytes);
-                    w.u64(rx.refused_segments);
-                    w.u64(rx.duplicate_segments);
-                    w_opt_pid(w, st.waiting_reader);
-                    w_opt_pid(w, st.reader_pid);
-                    w.bool(st.loopback);
-                    w.u8(st.ack_pending);
-                    w.bool(st.fault_active);
-                }
+            let rx = st.rx.export_state();
+            w.u64(rx.available);
+            w.u64(rx.expected_seq);
+            w.u64(rx.total_received);
+            w.u64(rx.total_consumed);
+            w_opt_u64(w, rx.capacity);
+            w.u32(rx.ooo.len() as u32);
+            for (seq, payload) in &rx.ooo {
+                w.u64(*seq);
+                w.u32(*payload);
             }
+            w.u64(rx.ooo_bytes);
+            w.u64(rx.refused_bytes);
+            w.u64(rx.refused_segments);
+            w.u64(rx.duplicate_segments);
+            w_opt_pid(w, st.waiting_reader);
+            w_opt_pid(w, st.reader_pid);
+            w.bool(st.loopback);
+            w.u8(st.ack_pending);
+            w.bool(st.fault_active);
         }
         w.u32(self.user_events.len() as u32);
         for (name, id) in &self.user_events {
@@ -2381,13 +2414,24 @@ impl Node {
 
     /// Overlays a captured image onto this freshly booted node, making it
     /// bit-identical (digest and future behaviour) to the captured one.
+    /// `fabric` is the resumed cluster's connection table: the image must
+    /// hold exactly one socket state per endpoint it places on this node.
     /// Returns the pids whose tasks had a program attached at capture; the
     /// caller re-attaches the snapshot side-car clones under those pids.
-    pub(crate) fn apply_state(&mut self, r: &mut Reader<'_>) -> Result<Vec<Pid>, CodecError> {
+    pub(crate) fn apply_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        fabric: &Fabric,
+    ) -> Result<Vec<Pid>, CodecError> {
         if r.u32()? != self.id {
             return Err(CodecError::BadField("node id"));
         }
+        // The CPU set is structural (a fresh boot from the same spec has
+        // it); `online` only ever shrinks from there, and never to zero.
         self.online = r.u8()?;
+        if self.online == 0 || self.online as usize > self.cpus.len() {
+            return Err(CodecError::BadField("online cpus"));
+        }
         self.next_pid = r.u32()?;
         self.irq_rr = r.u8()?;
         self.apps_exited = r.u64()?;
@@ -2429,7 +2473,10 @@ impl Node {
             return Err(CodecError::BadField("nic rate"));
         }
         self.nic = Nic::from_state(nic);
-        let n_cpus = r.u32()? as usize;
+        let n_cpus = r.counted(WIRE_CPU_BYTES, "cpu count")?;
+        if n_cpus != self.cpus.len() {
+            return Err(CodecError::BadField("cpu count"));
+        }
         let mut cpus = Vec::with_capacity(n_cpus);
         for _ in 0..n_cpus {
             cpus.push(Cpu {
@@ -2447,10 +2494,13 @@ impl Node {
             });
         }
         self.cpus = cpus;
-        let n_rq = r.u32()? as usize;
+        let n_rq = r.counted(4, "runqueue count")?;
+        if n_rq != self.runqueues.len() {
+            return Err(CodecError::BadField("runqueue count"));
+        }
         let mut runqueues = Vec::with_capacity(n_rq);
         for _ in 0..n_rq {
-            let len = r.u32()? as usize;
+            let len = r.counted(4, "runqueue length")?;
             let mut rq = VecDeque::with_capacity(len);
             for _ in 0..len {
                 rq.push_back(Pid(r.u32()?));
@@ -2458,7 +2508,10 @@ impl Node {
             runqueues.push(rq);
         }
         self.runqueues = runqueues;
-        let n_lanes = r.u32()? as usize;
+        let n_lanes = r.counted(WIRE_LANE_BYTES, "tick lane count")?;
+        if n_lanes != self.parked_tick.len() {
+            return Err(CodecError::BadField("tick lane count"));
+        }
         let mut parked_tick = Vec::with_capacity(n_lanes);
         let mut parked_gen = Vec::with_capacity(n_lanes);
         let mut parked_point = Vec::with_capacity(n_lanes);
@@ -2470,7 +2523,7 @@ impl Node {
         self.parked_tick = parked_tick;
         self.parked_gen = parked_gen;
         self.parked_point = parked_point;
-        let n_slots = r.u32()? as usize;
+        let n_slots = r.counted(1, "task slot count")?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut needs_program = Vec::new();
         for _ in 0..n_slots {
@@ -2487,118 +2540,112 @@ impl Node {
             }
         }
         self.tasks = TaskTable::from_slots(slots);
-        let n_tx = r.u32()? as usize;
+        let n_tx = r.counted(WIRE_TX_BYTES, "tx endpoint count")?;
+        if n_tx != fabric.tx_endpoints(self.id) {
+            return Err(CodecError::BadField("tx endpoint count"));
+        }
         let mut sock_tx = Vec::with_capacity(n_tx);
         for _ in 0..n_tx {
-            match r.u8()? {
-                0 => sock_tx.push(None),
-                1 => {
-                    let txs = ktau_net::SocketTxState {
-                        capacity: r.u64()?,
-                        in_flight: r.u64()?,
-                        next_seq: r.u64()?,
-                        total_sent: r.u64()?,
-                    };
-                    if txs.capacity == 0 {
-                        return Err(CodecError::BadField("sndbuf capacity"));
-                    }
-                    let tx = SocketTx::from_state(txs);
-                    let waiting_writer = r_opt_pid(r)?;
-                    let fault = match r.u8()? {
-                        0 => None,
-                        1 => {
-                            let spec = crate::snapshot::decode_fault_spec(r)?;
-                            let mut state = [0u64; 4];
-                            for word in &mut state {
-                                *word = r.u64()?;
-                            }
-                            let injector = LinkInjector::resume(spec, state);
-                            let rto_ns = r.u64()?;
-                            let n_unacked = r.u32()? as usize;
-                            let mut unacked = BTreeMap::new();
-                            for _ in 0..n_unacked {
-                                let seq = r.u64()?;
-                                let payload = r.u32()?;
-                                unacked.insert(seq, payload);
-                            }
-                            Some(TxFault {
-                                injector,
-                                rto_ns,
-                                unacked,
-                                timer_gen: r.u64()?,
-                                timer_armed: r.bool()?,
-                                backoff: r.u32()?,
-                                retransmits: r.u64()?,
-                                timer_fires: r.u64()?,
-                            })
-                        }
-                        _ => return Err(CodecError::BadField("tx fault option")),
-                    };
-                    let n_rel = r.u32()? as usize;
-                    let mut pending_release = VecDeque::with_capacity(n_rel);
-                    for _ in 0..n_rel {
-                        let t = r.u64()?;
-                        let payload = r.u32()?;
-                        pending_release.push_back((t, payload));
-                    }
-                    sock_tx.push(Some(TxState {
-                        tx,
-                        waiting_writer,
-                        fault,
-                        pending_release,
-                    }));
-                }
-                _ => return Err(CodecError::BadField("tx slot")),
+            let txs = ktau_net::SocketTxState {
+                capacity: r.u64()?,
+                in_flight: r.u64()?,
+                next_seq: r.u64()?,
+                total_sent: r.u64()?,
+            };
+            if txs.capacity == 0 {
+                return Err(CodecError::BadField("sndbuf capacity"));
             }
-        }
-        self.sock_tx = sock_tx;
-        let n_rx = r.u32()? as usize;
-        let mut sock_rx = Vec::with_capacity(n_rx);
-        for _ in 0..n_rx {
-            match r.u8()? {
-                0 => sock_rx.push(None),
+            let tx = SocketTx::from_state(txs);
+            let waiting_writer = r_opt_pid(r)?;
+            let fault = match r.u8()? {
+                0 => None,
                 1 => {
-                    let available = r.u64()?;
-                    let expected_seq = r.u64()?;
-                    let total_received = r.u64()?;
-                    let total_consumed = r.u64()?;
-                    let capacity = r_opt_u64(r)?;
-                    let n_ooo = r.u32()? as usize;
-                    let mut ooo = Vec::with_capacity(n_ooo);
-                    for _ in 0..n_ooo {
+                    let spec = crate::snapshot::decode_fault_spec(r)?;
+                    let mut state = [0u64; 4];
+                    for word in &mut state {
+                        *word = r.u64()?;
+                    }
+                    let injector = LinkInjector::resume(spec, state);
+                    let rto_ns = r.u64()?;
+                    let n_unacked = r.counted(WIRE_SEGMENT_BYTES, "unacked count")?;
+                    let mut unacked = BTreeMap::new();
+                    for _ in 0..n_unacked {
                         let seq = r.u64()?;
                         let payload = r.u32()?;
-                        ooo.push((seq, payload));
+                        unacked.insert(seq, payload);
                     }
-                    let rxs = ktau_net::SocketRxState {
-                        available,
-                        expected_seq,
-                        total_received,
-                        total_consumed,
-                        capacity,
-                        ooo,
-                        ooo_bytes: r.u64()?,
-                        refused_bytes: r.u64()?,
-                        refused_segments: r.u64()?,
-                        duplicate_segments: r.u64()?,
-                    };
-                    sock_rx.push(Some(RxState {
-                        rx: SocketRx::from_state(rxs),
-                        waiting_reader: r_opt_pid(r)?,
-                        reader_pid: r_opt_pid(r)?,
-                        loopback: r.bool()?,
-                        ack_pending: r.u8()?,
-                        fault_active: r.bool()?,
-                    }));
+                    Some(TxFault {
+                        injector,
+                        rto_ns,
+                        unacked,
+                        timer_gen: r.u64()?,
+                        timer_armed: r.bool()?,
+                        backoff: r.u32()?,
+                        retransmits: r.u64()?,
+                        timer_fires: r.u64()?,
+                    })
                 }
-                _ => return Err(CodecError::BadField("rx slot")),
+                _ => return Err(CodecError::BadField("tx fault option")),
+            };
+            let n_rel = r.counted(WIRE_SEGMENT_BYTES, "release count")?;
+            let mut pending_release = VecDeque::with_capacity(n_rel);
+            for _ in 0..n_rel {
+                let t = r.u64()?;
+                let payload = r.u32()?;
+                pending_release.push_back((t, payload));
             }
+            sock_tx.push(TxState {
+                tx,
+                waiting_writer,
+                fault,
+                pending_release,
+            });
+        }
+        self.sock_tx = sock_tx;
+        let n_rx = r.counted(WIRE_RX_BYTES, "rx endpoint count")?;
+        if n_rx != fabric.rx_endpoints(self.id) {
+            return Err(CodecError::BadField("rx endpoint count"));
+        }
+        let mut sock_rx = Vec::with_capacity(n_rx);
+        for _ in 0..n_rx {
+            let available = r.u64()?;
+            let expected_seq = r.u64()?;
+            let total_received = r.u64()?;
+            let total_consumed = r.u64()?;
+            let capacity = r_opt_u64(r)?;
+            let n_ooo = r.counted(WIRE_SEGMENT_BYTES, "out-of-order count")?;
+            let mut ooo = Vec::with_capacity(n_ooo);
+            for _ in 0..n_ooo {
+                let seq = r.u64()?;
+                let payload = r.u32()?;
+                ooo.push((seq, payload));
+            }
+            let rxs = ktau_net::SocketRxState {
+                available,
+                expected_seq,
+                total_received,
+                total_consumed,
+                capacity,
+                ooo,
+                ooo_bytes: r.u64()?,
+                refused_bytes: r.u64()?,
+                refused_segments: r.u64()?,
+                duplicate_segments: r.u64()?,
+            };
+            sock_rx.push(RxState {
+                rx: SocketRx::from_state(rxs),
+                waiting_reader: r_opt_pid(r)?,
+                reader_pid: r_opt_pid(r)?,
+                loopback: r.bool()?,
+                ack_pending: r.u8()?,
+                fault_active: r.bool()?,
+            });
         }
         self.sock_rx = sock_rx;
         // Rebuild user-routine registrations by replaying them in capture
         // order: the registry hands out dense ids deterministically, so
         // each replayed id must equal the captured one.
-        let n_user = r.u32()? as usize;
+        let n_user = r.counted(8, "user event count")?;
         for _ in 0..n_user {
             let name = r.str()?;
             let id = r.u32()?;
@@ -2611,12 +2658,17 @@ impl Node {
     }
 
     /// Re-attaches a side-car program clone to a task after
-    /// [`Node::apply_state`].
-    pub(crate) fn attach_program(&mut self, pid: Pid, program: Box<dyn Program>) {
+    /// [`Node::apply_state`]; the image must hold a task under `pid`.
+    pub(crate) fn attach_program(
+        &mut self,
+        pid: Pid,
+        program: Box<dyn Program>,
+    ) -> Result<(), CodecError> {
         self.tasks
             .get_mut(pid)
-            .expect("program side-car names a missing task")
+            .ok_or(CodecError::BadField("program side-car pid"))?
             .program = Some(program);
+        Ok(())
     }
 }
 

@@ -5,11 +5,11 @@
 //! goes through segment-arrival events produced by the NIC/fabric models.
 
 use crate::config::ClusterSpec;
-use crate::node::{Node, TaskSpec};
+use crate::node::{Node, RxConnStats, TaskSpec, TxConnStats};
 use crate::task::{Pid, TaskState};
 use ktau_core::selfprof::{self, Counter as SpCounter};
 use ktau_core::time::Ns;
-use ktau_net::{ConnId, Fabric};
+use ktau_net::{ConnId, Fabric, LinkSpec};
 
 /// Simulation events.
 ///
@@ -539,9 +539,14 @@ impl EventQueue {
 
     /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes.  Each entry
     /// keeps its exact `(time, point, seq)` key, so the pop sequence is
-    /// bit-identical to the captured queue's.
+    /// bit-identical to the captured queue's.  Every event must address a
+    /// CPU the cluster has (`cpus[node]` CPUs per node) and a connection
+    /// endpoint its node owns in `links`, so no handler can index past the
+    /// resumed state.
     pub(crate) fn decode_wire(
         r: &mut ktau_core::wire::Reader<'_>,
+        cpus: &[u8],
+        links: &[LinkSpec],
     ) -> Result<EventQueue, ktau_core::wire::CodecError> {
         let mut q = EventQueue::new();
         q.now = r.u64()?;
@@ -551,12 +556,16 @@ impl EventQueue {
         // Entries landing at or below `cur_slot` insert into the drain
         // run, which is correct for any key in either representation.
         q.cur_slot = q.now >> WHEEL_SHIFT;
-        let n = r.u32()? as usize;
+        // Smallest entry: three `u64` keys plus a tick (tag, node, cpu).
+        let n = r.counted(30, "queued event count")?;
         for _ in 0..n {
             let time = r.u64()?;
             let point = r.u64()?;
             let seq = r.u64()?;
             let ev = decode_event(r)?;
+            if !event_in_range(ev, cpus, links) {
+                return Err(ktau_core::wire::CodecError::BadField("queued event target"));
+            }
             let handle = q.alloc(ev);
             q.insert_key(QKey {
                 time,
@@ -726,6 +735,29 @@ pub(crate) fn encode_event(w: &mut ktau_core::wire::Writer, ev: Event) {
             w.u32(node);
             w.u32(conn.0);
         }
+    }
+}
+
+/// True when `ev` targets an existing node, one of that node's CPUs, and an
+/// open connection whose matching end lives on that node (segments arrive
+/// at the receiver; every other connection event belongs to the sender).
+fn event_in_range(ev: Event, cpus: &[u8], links: &[LinkSpec]) -> bool {
+    let Some(&n_cpus) = cpus.get(ev.node() as usize) else {
+        return false;
+    };
+    let owns = |conn: ConnId, receiver: bool| {
+        links
+            .get(conn.0 as usize)
+            .is_some_and(|l| ev.node() == if receiver { l.dst_node } else { l.src_node })
+    };
+    match ev {
+        Event::Tick { cpu, .. } | Event::CpuDone { cpu, .. } => cpu < n_cpus,
+        Event::SegArrive { conn, .. } => owns(conn, true),
+        Event::TxDone { conn, .. }
+        | Event::AckArrive { conn, .. }
+        | Event::RtxTimer { conn, .. }
+        | Event::ReleaseWake { conn, .. } => owns(conn, false),
+        Event::Wake { .. } => true,
     }
 }
 
@@ -997,7 +1029,17 @@ impl Cluster {
 
     /// Opens a simplex connection between two nodes' kernels.  Loopback
     /// (same node) connections bypass the NIC and hard IRQ.
+    ///
+    /// # Panics
+    ///
+    /// If either endpoint is not a node of this cluster; nothing is
+    /// registered in that case.
     pub fn open_conn(&mut self, src_node: u32, dst_node: u32) -> ConnId {
+        let n = self.nodes.len();
+        assert!(
+            (src_node as usize) < n && (dst_node as usize) < n,
+            "open_conn({src_node}, {dst_node}): the cluster has {n} nodes"
+        );
         let conn = self.fabric.open(src_node, dst_node);
         let link = self.fabric.link(conn);
         // Loopback bypasses the NIC entirely, so faults never apply there.
@@ -1007,14 +1049,27 @@ impl Cluster {
             self.spec.fault_plan.injector_for(conn, &link)
         };
         let fault_active = injector.is_some();
-        self.nodes[src_node as usize].add_tx(conn, injector);
+        self.nodes[src_node as usize].add_tx(injector);
         self.nodes[dst_node as usize].add_rx(
-            conn,
             src_node == dst_node,
             fault_active,
             self.spec.rcvbuf_bytes,
         );
         conn
+    }
+
+    /// Send-side state of a connection, from the node it sends on; `None`
+    /// for an id that was never opened.
+    pub fn tx_conn_stats(&self, conn: ConnId) -> Option<TxConnStats> {
+        let link = self.fabric.get(conn)?;
+        self.nodes[link.src_node as usize].tx_conn_stats(conn, &self.fabric)
+    }
+
+    /// Receive-side state of a connection, from the node it receives on;
+    /// `None` for an id that was never opened.
+    pub fn rx_conn_stats(&self, conn: ConnId) -> Option<RxConnStats> {
+        let link = self.fabric.get(conn)?;
+        self.nodes[link.dst_node as usize].rx_conn_stats(conn, &self.fabric)
     }
 
     /// Spawns a task on a node, returning its pid.
@@ -1104,9 +1159,9 @@ impl Cluster {
             } => n.on_segment(conn, seq, payload, at, q, f),
             Event::AckArrive { conn, ack_seq, .. } => n.on_ack(conn, ack_seq, at, q, f),
             Event::RtxTimer { conn, gen, .. } => n.on_rtx_timer(conn, gen, at, q, f),
-            Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q),
+            Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q, f),
             Event::Wake { pid, .. } => n.on_wake(pid, at, q, f),
-            Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q),
+            Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q, f),
         }
         if coalesce {
             n.arm_uncoalescible(q);
@@ -1330,7 +1385,7 @@ impl Cluster {
         conns.sort();
         for c in conns {
             let link = self.fabric.link(c);
-            if let Some(tx) = self.nodes[link.src_node as usize].tx_conn_stats(c) {
+            if let Some(tx) = self.tx_conn_stats(c) {
                 let _ = writeln!(
                     s,
                     "  {c} tx (node {}): {} B in flight / {} B free, {} unacked segs, \
@@ -1343,7 +1398,7 @@ impl Cluster {
                     tx.timer_fires
                 );
             }
-            if let Some(rx) = self.nodes[link.dst_node as usize].rx_conn_stats(c) {
+            if let Some(rx) = self.rx_conn_stats(c) {
                 let _ = writeln!(
                     s,
                     "  {c} rx (node {}): {} B readable, expected seq {}, {} segs buffered, \

@@ -48,12 +48,15 @@ use std::sync::{Arc, Mutex};
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KTAS";
 /// Snapshot image version, the only one [`Cluster::resume`] decodes; any
 /// other version fails with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Bytes of the magic plus version header.
 const HEADER_LEN: usize = 6;
 /// Bytes of the trailing image check.
 const CHECK_LEN: usize = 8;
+/// Floor on a live task's slot in a node image: its nine `u64` counters
+/// alone take this much.
+const WIRE_LIVE_TASK_BYTES: usize = 72;
 
 /// FNV-1a over an image body: the value sealed into its last 8 bytes.  Each
 /// fold step is a bijection of the running hash, so any single-byte change
@@ -313,7 +316,9 @@ fn encode_spec(w: &mut Writer, spec: &ClusterSpec) {
 }
 
 fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
-    let n_nodes = r.u32()? as usize;
+    // Smallest node spec: name length, cpus, detected tag, clock, irq
+    // policy, dilation.
+    let n_nodes = r.counted(19, "node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let name = r.str()?;
@@ -376,7 +381,9 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         tick_cycles: r.u64()?,
         migration_cycles: r.u64()?,
     };
-    if sched.hz == 0 {
+    // The tick must last at least a nanosecond: boot staggers tick lanes
+    // modulo its length.
+    if sched.hz == 0 || sched.tick_ns() == 0 {
         return Err(CodecError::BadField("sched hz"));
     }
     let noise = crate::config::NoiseSpec {
@@ -391,7 +398,8 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         _ => return Err(CodecError::BadField("trace capacity option")),
     };
     let plan_seed = r.u64()?;
-    let n_rules = r.u32()? as usize;
+    // A rule: match tag plus a six-field fault spec.
+    let n_rules = r.counted(49, "fault rule count")?;
     let mut rules = Vec::with_capacity(n_rules);
     for _ in 0..n_rules {
         let m = match r.u8()? {
@@ -414,7 +422,8 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         1 => Some(r.u64()?),
         _ => return Err(CodecError::BadField("rcvbuf option")),
     };
-    let n_faults = r.u32()? as usize;
+    // A node fault: node id plus the smallest degrade spec.
+    let n_faults = r.counted(18, "node fault count")?;
     let mut node_faults = Vec::with_capacity(n_faults);
     for _ in 0..n_faults {
         let node = r.u32()?;
@@ -501,9 +510,8 @@ impl Cluster {
         w.u64(self.events_processed);
         w.u64(self.ticks_dispatched);
         w.u64(self.fabric.latency_ns());
-        let links = self.fabric.links();
-        w.u32(links.len() as u32);
-        for l in links {
+        w.u32(self.fabric.len() as u32);
+        for l in self.fabric.links() {
             w.u32(l.src_node);
             w.u32(l.dst_node);
         }
@@ -546,32 +554,42 @@ impl Cluster {
     pub fn resume(snap: &ClusterSnapshot) -> Result<Cluster, CodecError> {
         let mut r = open_image(&snap.image)?;
         let spec = decode_spec(&mut r)?;
+        // Boot spawns every node's daemons, which live as long as the
+        // cluster: each must still have its task slot in the image.
+        let daemons = spec.nodes.len() as u64 * spec.noise.daemons_per_node as u64;
+        if daemons > (r.remaining() / WIRE_LIVE_TASK_BYTES) as u64 {
+            return Err(CodecError::Corrupt("daemon count"));
+        }
         let coalesce_ticks = r.bool()?;
         let now = r.u64()?;
         let apps_spawned = r.u64()?;
         let events_processed = r.u64()?;
         let ticks_dispatched = r.u64()?;
         let latency_ns = r.u64()?;
-        let n_links = r.u32()? as usize;
+        let n_links = r.counted(8, "link count")?;
         let mut links = Vec::with_capacity(n_links);
         for _ in 0..n_links {
             let src_node = r.u32()?;
             let dst_node = r.u32()?;
+            if src_node as usize >= spec.nodes.len() || dst_node as usize >= spec.nodes.len() {
+                return Err(CodecError::BadField("link endpoint"));
+            }
             links.push(LinkSpec { src_node, dst_node });
         }
-        let queue = EventQueue::decode_wire(&mut r)?;
+        let cpus: Vec<u8> = spec.nodes.iter().map(|n| n.online_cpus()).collect();
+        let queue = EventQueue::decode_wire(&mut r, &cpus, &links)?;
         let mut cluster = Cluster::boot(spec, coalesce_ticks);
+        cluster.fabric = Fabric::from_links(latency_ns, &links);
         let n_nodes = r.u32()? as usize;
         if n_nodes != cluster.nodes.len() {
             return Err(CodecError::BadField("node count"));
         }
         let mut needs_program = 0usize;
         for node in &mut cluster.nodes {
-            needs_program += node.apply_state(&mut r)?.len();
+            needs_program += node.apply_state(&mut r, &cluster.fabric)?.len();
         }
         let digest = r.u64()?;
         r.expect_end()?;
-        cluster.fabric = Fabric::from_links(latency_ns, links);
         cluster.queue = queue;
         cluster.now = now;
         cluster.apps_spawned = apps_spawned;
@@ -585,7 +603,7 @@ impl Cluster {
                 .nodes
                 .get_mut(*node as usize)
                 .ok_or(CodecError::BadField("program side-car node"))?;
-            n.attach_program(Pid(*pid), prog.clone());
+            n.attach_program(Pid(*pid), prog.clone())?;
         }
         if cluster.state_digest() != digest {
             return Err(CodecError::DeltaMismatch);
@@ -618,8 +636,9 @@ impl Cluster {
                 continue;
             }
             let injector = self.spec.fault_plan.injector_for(conn, &link);
-            let faulted = self.nodes[link.src_node as usize].set_tx_fault(conn, injector);
-            self.nodes[link.dst_node as usize].set_rx_fault_active(conn, faulted);
+            let faulted =
+                self.nodes[link.src_node as usize].set_tx_fault(conn, injector, &self.fabric);
+            self.nodes[link.dst_node as usize].set_rx_fault_active(conn, faulted, &self.fabric);
         }
     }
 
@@ -714,7 +733,7 @@ mod tests {
         let snap = c.snapshot();
         // Patch the u16 version field (little-endian, right after the
         // magic): the previous formats and a future one all fail typed.
-        for v in [2u16, 3, 99] {
+        for v in [2u16, 3, 4, 99] {
             let mut bad = snap.clone();
             bad.image[4..6].copy_from_slice(&v.to_le_bytes());
             assert!(matches!(Cluster::resume(&bad), Err(CodecError::BadVersion(x)) if x == v));
@@ -722,10 +741,9 @@ mod tests {
         }
     }
 
-    /// Every truncated prefix of an image, and a flip of any one of its
-    /// bytes, fails with a typed error — never a panic, never a cluster.
-    #[test]
-    fn truncated_and_flipped_images_fail_typed() {
+    /// A two-node cluster mid-transfer on one connection: the fixture of
+    /// the corrupted-image tests.
+    fn transfer_fixture() -> Cluster {
         let mut c = Cluster::new(ClusterSpec::chiba(2));
         let conn = c.open_conn(0, 1);
         let bytes = 64 << 10;
@@ -734,6 +752,14 @@ mod tests {
         c.spawn(0, crate::TaskSpec::app("tx", Box::new(tx)));
         c.spawn(1, crate::TaskSpec::app("rx", Box::new(rx)));
         c.run_for(2_000_000);
+        c
+    }
+
+    /// Every truncated prefix of an image, and a flip of any one of its
+    /// bytes, fails with a typed error — never a panic, never a cluster.
+    #[test]
+    fn truncated_and_flipped_images_fail_typed() {
+        let c = transfer_fixture();
         let snap = c.snapshot();
         assert!(Cluster::resume(&snap).is_ok());
         assert_eq!(snap.captured_at(), Ok(c.now()));
@@ -751,6 +777,129 @@ mod tests {
             assert!(Cluster::resume(&bad).is_err(), "flip at {i} of {n} resumed");
             assert!(bad.captured_at().is_err(), "flip at {i} of {n} dated");
         }
+    }
+
+    /// Replaces the image check of a tampered image so it reaches the
+    /// field decoders.
+    fn reseal(image: &mut [u8]) {
+        let body = image.len() - CHECK_LEN;
+        let check = image_check(&image[..body]);
+        image[body..].copy_from_slice(&check.to_le_bytes());
+    }
+
+    /// A flip of any one byte of an image that is then re-sealed — so the
+    /// image check passes and every decoder sees the hostile value —
+    /// resumes or fails typed; it never panics.
+    #[test]
+    fn resealed_flips_resume_or_fail_typed() {
+        let snap = transfer_fixture().snapshot();
+        let n = snap.image.len();
+        let mut bad = snap.clone();
+        let mut panicked = Vec::new();
+        // Low bit, high bit, a mixed pattern, every bit.
+        for mask in [0x01u8, 0x80, 0xA5, 0xFF] {
+            for i in 0..n - CHECK_LEN {
+                bad.image.clone_from(&snap.image);
+                bad.image[i] ^= mask;
+                reseal(&mut bad.image);
+                let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Cluster::resume(&bad)
+                }));
+                if resumed.is_err() {
+                    panicked.push((i, mask));
+                }
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "resume panicked on re-sealed (offset, mask) flips {panicked:?} of {n} bytes"
+        );
+    }
+
+    /// Offset of the link table in `c`'s image: header, spec, engine
+    /// flag and five `u64` counters precede it.
+    fn link_table_at(c: &Cluster) -> usize {
+        let mut w = Writer::new();
+        encode_spec(&mut w, &c.spec);
+        HEADER_LEN + w.len() + 1 + 5 * 8
+    }
+
+    fn u32_at(image: &[u8], i: usize) -> u32 {
+        u32::from_le_bytes(image[i..i + 4].try_into().unwrap())
+    }
+
+    /// `snap` with `bytes` written at `at` and the image re-sealed.
+    fn patched(snap: &ClusterSnapshot, at: usize, bytes: &[u8]) -> ClusterSnapshot {
+        let mut bad = snap.clone();
+        bad.image[at..at + bytes.len()].copy_from_slice(bytes);
+        reseal(&mut bad.image);
+        bad
+    }
+
+    /// A huge count and a link to a node the cluster does not have, each
+    /// re-sealed into an otherwise valid image, fail typed.
+    #[test]
+    fn resealed_hostile_counts_and_endpoints_fail_typed() {
+        let c = transfer_fixture();
+        let snap = c.snapshot();
+        let at = link_table_at(&c);
+        assert_eq!(u32_at(&snap.image, at), 1, "link count");
+        assert_eq!(u32_at(&snap.image, at + 4), 0, "link source");
+        assert_eq!(u32_at(&snap.image, at + 8), 1, "link destination");
+        for (offset, value) in [(0, u32::MAX), (4, 2), (8, u32::MAX)] {
+            let bad = patched(&snap, at + offset, &value.to_le_bytes());
+            assert!(
+                Cluster::resume(&bad).is_err(),
+                "{value} at link table +{offset} resumed"
+            );
+        }
+    }
+
+    /// Every queued event of an image, re-sealed with a node the cluster
+    /// does not have, the other node, a CPU beyond the node's or an
+    /// unopened connection, fails typed: no handler ever sees the target.
+    #[test]
+    fn resealed_queue_targets_out_of_range_fail_typed() {
+        let c = transfer_fixture();
+        let snap = c.snapshot();
+        // One link, then the queue's `now` and sequence counter.
+        let mut at = link_table_at(&c) + 4 + 8 + 16;
+        let n = u32_at(&snap.image, at);
+        at += 4;
+        let mut kinds = BTreeSet::new();
+        for _ in 0..n {
+            at += 24; // time, push point, sequence number
+            let tag = snap.image[at];
+            let node = u32_at(&snap.image, at + 1);
+            kinds.insert(tag);
+            let mut cases = vec![(at + 1, 2u32.to_le_bytes().to_vec())];
+            match tag {
+                0 | 1 => cases.push((at + 5, vec![200])),
+                6 => {}
+                _ => {
+                    cases.push((at + 1, (1 - node).to_le_bytes().to_vec()));
+                    cases.push((at + 5, 1u32.to_le_bytes().to_vec()));
+                }
+            }
+            for (field, bytes) in cases {
+                let bad = patched(&snap, field, &bytes);
+                assert!(
+                    Cluster::resume(&bad).is_err(),
+                    "event kind {tag} resumed with {bytes:?} at {field}"
+                );
+            }
+            // Bytes of each kind after its tag (see `encode_event`).
+            at += 1 + [5, 13, 20, 12, 16, 16, 8, 8][tag as usize];
+        }
+        assert_eq!(
+            u32_at(&snap.image, at),
+            c.nodes.len() as u32,
+            "walked past the queue"
+        );
+        assert!(
+            kinds.contains(&2) && kinds.contains(&0),
+            "fixture queues no segment or tick: {kinds:?}"
+        );
     }
 
     #[test]
